@@ -290,8 +290,8 @@ def simulate(
     raises rather than returning corrupt data.
     """
     m, p, n = plan.m, plan.params.p, config.n
-    if n > m:
-        raise ValueError(f"path length n={n} exceeds embedding order m={m}")
+    if n > plan.n:
+        raise ValueError(f"path length n={n} exceeds the plan's length n={plan.n}")
     half = m // 2
     inv_root = 1.0 / np.sqrt(2.0 * m)
     root2 = np.sqrt(2.0)
@@ -389,7 +389,7 @@ def dense_oracle_simulate(
                     "n": n,
                     "seed": seed,
                     "replicate": r,
-                    "exact": True,
+                    "exact": shift == 0.0,
                     "oracle": "dense cholesky",
                     "diag_shift": shift,
                     "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate, 1))",

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve  # noqa: F401 (perfbench/tracing.py wraps it)
 
+from .circulant import _replicate_rng
 from .params import MfbmParams
 from .representations import MovingAveragePair, params_from_ma
 
@@ -255,8 +256,11 @@ def simulate_partial_sums(
     """Normalized partial sums at the requested fractions, shape (R, T, p).
 
     Each replicate draws i.i.d. unit-variance innovations on a window
-    wide enough for every time in 1..n to see the full truncated kernel,
-    convolves, accumulates, and scales by n^(-d_i - 1/2) per component.
+    wide enough for every time in 1..n to see the full truncated kernel.
+    The convolved series sums up to m to rker . E[m : m+2K+1] minus
+    rker . E[0 : 2K+1], with E the cumulated innovations from E[0] = 0 and
+    rker the reversed kernel: O(p^2 (T + 1) K) per replicate, draws as for
+    a direct convolution. Sums are scaled by n^(-d_i - 1/2) per component.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -270,30 +274,26 @@ def simulate_partial_sums(
         raise ValueError(f"truncation K={K} must be at least n={n}")
     p = spec.p
     d = _row_exponents(spec)
-    kernels = np.zeros((p, p, 2 * K + 1))
-    for i in range(p):
-        for j in range(p):
-            kernels[i, j] = realize_kernel(spec, "plus", i, j, K) + realize_kernel(
-                spec, "minus", i, j, K
-            )
-    idx = np.floor(n * taus).astype(int)
+    span = 2 * K + 1
+    rker = np.zeros((p, span, p))  # [j, :, i]: channel j into component i, reversed
+    for i, j in np.ndindex(p, p):
+        rker[j, ::-1, i] = realize_kernel(spec, "plus", i, j, K)
+        rker[j, ::-1, i] += realize_kernel(spec, "minus", i, j, K)
+    used = [j for j in range(p) if np.any(rker[j])]
+    starts = np.concatenate(([0], np.floor(n * taus).astype(int)))
     scale = n ** (-d - 0.5)
     out = np.empty((replicates, taus.shape[0], p))
     width = n + 2 * K
+    cum = np.zeros((p, width + 1))
     for r in range(replicates):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r, 2)))
-        )
+        rng = _replicate_rng(seed, r, stream=2)
         if noise == "gaussian":
             eps = rng.standard_normal((p, width))
         else:
             eps = rng.integers(0, 2, size=(p, width)).astype(float) * 2.0 - 1.0
-        csum = np.zeros((n + 1, p))
-        for i in range(p):
-            z = np.zeros(n)
-            for j in range(p):
-                if np.any(kernels[i, j]):
-                    z += fftconvolve(eps[j], kernels[i, j], mode="valid")
-            csum[1:, i] = np.cumsum(z)
-        out[r] = csum[idx] * scale
+        np.cumsum(eps, axis=1, out=cum[:, 1:])
+        sums = np.array(
+            [sum(cum[j, m : m + span] @ rker[j] for j in used) for m in starts]
+        )
+        out[r] = (sums[1:] - sums[0]) * scale
     return out

@@ -123,6 +123,9 @@ def validate(params: MfbmParams) -> ValidationReport:
     if H.ndim != 1 or p == 0:
         v.append("H must be a nonempty vector")
         return ValidationReport(tuple(v))
+    for name, values in (("H", H), ("sigma", sigma), ("rho", rho), ("eta", eta)):
+        if not np.all(np.isfinite(values)):
+            v.append(f"every {name} entry must be finite")
     if not np.all((H > 0.0) & (H < 1.0)):
         v.append("every H_i must lie strictly inside (0, 1)")
     if sigma.shape != (p,):

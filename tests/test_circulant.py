@@ -142,6 +142,17 @@ def test_simulate_meta_records_run(rng):
     assert meta["exact"] is True
 
 
+def test_simulate_rejects_config_longer_than_plan(rng):
+    params = random_admissible(rng, 2)
+    plan = build_plan(params, SimulationConfig(n=10))
+    assert plan.m == 32
+    with pytest.raises(ValueError, match="plan"):
+        simulate(plan, SimulationConfig(n=32))
+    with pytest.raises(ValueError, match="plan"):
+        simulate(plan, SimulationConfig(n=11))
+    assert simulate(plan, SimulationConfig(n=10))[0].values.shape == (10, 2)
+
+
 def test_values_are_frozen(rng):
     params = random_admissible(rng, 1)
     config = SimulationConfig(n=4)
@@ -201,6 +212,17 @@ def test_dense_oracle_caps_length_and_reproduces(rng):
     for a, b in zip(first, again):
         assert np.array_equal(a.values, b.values)
     assert not np.array_equal(first[0].values, first[1].values)
+
+
+def test_dense_oracle_reports_ridge_as_inexact(rng):
+    regular = dense_oracle_simulate(random_admissible(rng, 2), 8, seed=2)[0]
+    assert regular.meta["diag_shift"] == 0.0
+    assert regular.meta["exact"] is True
+    # identical components: the covariance is singular and needs a ridge
+    twins = make_params([0.5, 0.5], rho01=1.0)
+    ridged = dense_oracle_simulate(twins, 8, seed=2)[0]
+    assert ridged.meta["diag_shift"] > 0.0
+    assert ridged.meta["exact"] is False
 
 
 def test_dense_oracle_stream_disjoint_from_circulant(rng):

@@ -203,6 +203,43 @@ def test_partial_sums_shape_and_zero_start():
     assert np.array_equal(out[:, 0, 0], np.zeros(4))
 
 
+@pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+def test_window_sums_match_direct_convolution(noise):
+    # the definition: convolve fresh Philox innovations with each kernel
+    # ("valid" part), cumulate, read off floor(n tau), scale per row
+    spec = KernelSpec(
+        plus=((POS, NEG), (SPIKE, NEG)),
+        minus=((None, POS), (NEG, None)),
+    )
+    n, seed, reps = 32, 17, 3
+    K = 4 * n
+    taus = np.array([0.0, 0.2, 1.0 / 3.0, 0.5, 1.0])
+    idx = np.floor(n * taus).astype(int)
+    scale = n ** -np.array([0.7, 0.5])
+    want = np.empty((reps, taus.size, 2))
+    for r in range(reps):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r, 2)))
+        )
+        if noise == "gaussian":
+            eps = rng.standard_normal((2, n + 2 * K))
+        else:
+            eps = rng.integers(0, 2, size=(2, n + 2 * K)).astype(float) * 2.0 - 1.0
+        for i in range(2):
+            z = sum(
+                np.convolve(eps[j], realize_kernel(spec, side, i, j, K), "valid")
+                for j in range(2)
+                for side in ("plus", "minus")
+            )
+            want[r, :, i] = np.concatenate(([0.0], np.cumsum(z)))[idx] * scale[i]
+    got = simulate_partial_sums(
+        spec, n=n, taus=taus, seed=seed, replicates=reps, noise=noise
+    )
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(got[:, 0], np.zeros((reps, 2)))
+
+
 def test_partial_sums_validation():
     spec = one_sided(POS)
     with pytest.raises(ValueError):

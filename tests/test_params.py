@@ -53,6 +53,26 @@ def test_validation_rejects_rho_above_one():
     assert not validate(params).ok
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("eta", np.inf), ("eta", -np.inf), ("eta", np.nan), ("rho", np.nan),
+     ("sigma", np.inf), ("H", np.nan)],
+)
+def test_validation_rejects_non_finite_entries(field, value):
+    params = make_params([0.4, 0.6], rho01=0.2, eta01=0.1)
+    arrays = {
+        name: np.array(getattr(params, name)) for name in ("H", "sigma", "rho", "eta")
+    }
+    if field in ("rho", "eta"):
+        sign = 1.0 if field == "rho" else -1.0
+        arrays[field][0, 1], arrays[field][1, 0] = value, sign * value
+    else:
+        arrays[field][1] = value
+    report = validate(MfbmParams(**arrays))
+    assert not report.ok
+    assert f"every {field} entry must be finite" in report.violations
+
+
 def test_validation_rejects_negative_one_tol():
     params = make_params([0.4, 0.6], one_tol=-1.0)
     assert not validate(params).ok
