@@ -126,20 +126,13 @@ class CirculantPlan:
     c_blocks: np.ndarray
     b_blocks: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     sqrt_blocks: np.ndarray
     truncated_mass: float
     exact: bool
     scale: float
 
     def __post_init__(self):
-        for name in (
-            "c_blocks",
-            "b_blocks",
-            "eigenvalues",
-            "eigenvectors",
-            "sqrt_blocks",
-        ):
+        for name in ("c_blocks", "b_blocks", "eigenvalues", "sqrt_blocks"):
             getattr(self, name).setflags(write=False)
 
 
@@ -211,12 +204,8 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
         vals_half, vecs_half = np.linalg.eigh(b_blocks[: half + 1])
         p = params.p
         vals = np.empty((m, p))
-        vecs = np.empty((m, p, p), dtype=complex)
         vals[: half + 1] = vals_half
-        vecs[: half + 1] = vecs_half
-        # mirrored frequencies share the conjugate decomposition exactly
         vals[half + 1 :] = vals_half[half - 1 : 0 : -1]
-        vecs[half + 1 :] = np.conj(vecs_half[half - 1 : 0 : -1])
 
         neg_floor = -NEGATIVE_EIG_REL_TOL * float(vals.max())
         worst = float(vals.min())
@@ -233,10 +222,13 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
                 )
         truncated_mass = float(np.abs(np.minimum(vals, 0.0)).sum())
         exact = bool(worst >= neg_floor)
-        sqrt_vals = np.sqrt(np.maximum(vals, 0.0))
-        sqrt_blocks = np.einsum(
-            "kup,kp,kvp->kuv", vecs, sqrt_vals, np.conj(vecs), optimize=True
+        sqrt_vals = np.sqrt(np.maximum(vals_half, 0.0))
+        sqrt_blocks = np.empty((m, p, p), dtype=complex)
+        sqrt_blocks[: half + 1] = np.einsum(
+            "kup,kp,kvp->kuv", vecs_half, sqrt_vals, np.conj(vecs_half), optimize=True
         )
+        # mirrored frequencies share the conjugate decomposition exactly
+        sqrt_blocks[half + 1 :] = np.conj(sqrt_blocks[half - 1 : 0 : -1])
         var0 = np.array(
             [increment_covariance(params, i, i, 0.0, 1.0) for i in range(p)]
         )
@@ -247,7 +239,6 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
             c_blocks=c_blocks,
             b_blocks=b_blocks,
             eigenvalues=vals,
-            eigenvectors=vecs,
             sqrt_blocks=sqrt_blocks,
             truncated_mass=truncated_mass,
             exact=exact,

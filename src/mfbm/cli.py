@@ -236,30 +236,56 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _read_path_csv(path: Path) -> tuple[np.ndarray, bool]:
-    """One replicate file: increment or integrated values, flag integrated."""
+def _read_path_csv(path: Path) -> tuple[np.ndarray, float] | None:
+    """One replicate file: its values and the first entry of its t column.
+
+    None for a CSV without the path header, e.g. a previously written report.
+    """
     with open(path, newline="") as handle:
         header = handle.readline().strip().split(",")
-        if not header or header[0] != "t":
-            raise ValueError(f"{path} does not look like a path file")
+        if header[0] != "t":
+            return None
         data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    ts, values = data[:, 0], data[:, 1:]
-    integrated = ts[0] == 0.0
-    return values, integrated
+    if data.shape[0] == 0:
+        raise ValueError(f"{path} holds no rows")
+    return data[:, 1:], float(data[0, 0])
 
 
 def _cmd_verify(args) -> int:
+    """Stack the path files and compare them against the closed form.
+
+    Whether the files hold integrated paths comes from manifest.json when
+    it is present; without one, a t column starting at 0 means integrated.
+    """
     params = _load_valid_params(args.params)
-    files = sorted(Path(args.paths).glob("*.csv"))
+    root = Path(args.paths)
+    manifest_integrate = None
+    if (root / "manifest.json").is_file():
+        with open(root / "manifest.json") as handle:
+            manifest_integrate = bool(json.load(handle)["integrate"])
     ensembles = []
     integrated_flags = set()
-    for f in files:
-        try:
-            values, integrated = _read_path_csv(f)
-        except ValueError:
-            continue  # not a path file, e.g. a previously written report
+    skipped = []
+    for f in sorted(root.glob("*.csv")):
+        read = _read_path_csv(f)
+        if read is None:
+            skipped.append(f"{f.name} (not a path file)")
+            continue
+        values, t0 = read
+        if manifest_integrate is None:
+            integrated = t0 == 0.0
+        elif t0 != (0.0 if manifest_integrate else 1.0):
+            raise ValueError(
+                f"{f} has t starting at {t0:g}, which contradicts "
+                f"integrate={manifest_integrate} in manifest.json"
+            )
+        else:
+            integrated = manifest_integrate
         ensembles.append(values)
         integrated_flags.add(integrated)
+    if skipped:
+        noun = "file" if len(skipped) == 1 else "files"
+        print(f"skipped {len(skipped)} {noun}: {', '.join(skipped)}", file=sys.stderr)
     if not ensembles:
         raise ValueError(f"no path files found under {args.paths}")
     if len(integrated_flags) != 1:

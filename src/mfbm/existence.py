@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .params import MfbmParams, PairKind
+from .params import MfbmParams, PairKind, validate
 from .spectral import coherence, spectral_coeff
 
 __all__ = [
@@ -74,10 +74,14 @@ def check_admissibility(params: MfbmParams, psd_tol: float = 1e-10) -> Admissibi
 
     Admissible iff the minimum eigenvalue is at least -psd_tol times the
     largest entry modulus. Eigenvalues rather than a Cholesky attempt so
-    the margin is visible in the report.
+    the margin is visible in the report. Structurally invalid parameters
+    (see params.validate) raise ValueError instead of yielding a report.
     """
     if psd_tol < 0.0:
         raise ValueError("psd_tol must be nonnegative")
+    report = validate(params)
+    if not report.ok:
+        raise ValueError(f"invalid parameters: {report}")
     q = admissibility_matrix(params)
     eigenvalues = np.linalg.eigvalsh(q)
     threshold = psd_tol * float(np.max(np.abs(q)))

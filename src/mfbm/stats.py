@@ -83,16 +83,14 @@ def ensemble_from_paths(paths: Iterable[SamplePath]) -> np.ndarray:
     return out
 
 
-def empirical_cross_cov(
-    values: np.ndarray, i: int, j: int, h: int
-) -> tuple[float, float]:
-    """Mean-free lag-h cross-covariance estimate with replicate stderr.
+def _lag_estimates(values: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-h estimates and replicate stderrs of all pairs, each (p, p).
 
-    Positive h pairs component i at t with component j at t + h. The
-    per-replicate statistic averages the n - |h| overlapping products;
-    no sample mean is subtracted.
+    Replicate r contributes the average of values[r, t, i] * values[r, t + h, j]
+    over the n - |h| overlapping t. One batched matmul of two slice views
+    forms these for every (r, i, j), reading the ensemble once and copying
+    none of it.
     """
-    values = np.asarray(values)
     if values.ndim != 3:
         raise ValueError("values must have shape (replicates, n, p)")
     r_count, n, _ = values.shape
@@ -102,13 +100,25 @@ def empirical_cross_cov(
     if abs(h) >= n:
         raise ValueError(f"|h|={abs(h)} must be smaller than the path length {n}")
     if h >= 0:
-        lead, lag = values[:, : n - h, i], values[:, h:, j]
+        lead, lag = values[:, : n - h], values[:, h:]
     else:
-        lead, lag = values[:, -h :, i], values[:, : n + h, j]
-    per_replicate = np.mean(lead * lag, axis=1)
-    estimate = float(per_replicate.mean())
-    stderr = float(per_replicate.std(ddof=1) / np.sqrt(r_count))
-    return estimate, stderr
+        lead, lag = values[:, -h :], values[:, : n + h]
+    per_replicate = np.matmul(lead.transpose(0, 2, 1), lag) / (n - abs(h))
+    stderr = per_replicate.std(axis=0, ddof=1) / np.sqrt(r_count)
+    return per_replicate.mean(axis=0), stderr
+
+
+def empirical_cross_cov(
+    values: np.ndarray, i: int, j: int, h: int
+) -> tuple[float, float]:
+    """Mean-free lag-h cross-covariance estimate with replicate stderr.
+
+    Positive h pairs component i at t with component j at t + h. The
+    per-replicate statistic averages the n - |h| overlapping products;
+    no sample mean is subtracted.
+    """
+    estimates, stderrs = _lag_estimates(np.asarray(values), h)
+    return float(estimates[i, j]), float(stderrs[i, j])
 
 
 def compare_report(
@@ -124,13 +134,13 @@ def compare_report(
     simulated at unit step.
     """
     values = np.asarray(values)
-    r_count = values.shape[0]
-    p = values.shape[2]
     cells: list[CovComparison] = []
     for h in lags:
+        estimates, stderrs = _lag_estimates(values, h)
+        r_count, p = values.shape[0], values.shape[2]
         for i in range(p):
             for j in range(p):
-                est, se = empirical_cross_cov(values, i, j, h)
+                est, se = float(estimates[i, j]), float(stderrs[i, j])
                 target = float(increment_covariance(params, i, j, float(h), delta))
                 z = (est - target) / se
                 cells.append(

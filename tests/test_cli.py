@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +208,59 @@ def test_verify_flags_wrong_law(params_file, tmp_path):
     assert rc == 1
 
 
+def test_verify_reports_skipped_files(params_file, tmp_path, capsys):
+    out_dir = tmp_path / "paths"
+    main(
+        [
+            "simulate", "--params", params_file,
+            "--n", "16", "--replicates", "40", "--out", str(out_dir),
+        ]
+    )
+    (out_dir / "notes.csv").write_text("a,b\n1,2\n")
+    capsys.readouterr()
+    rc = main(
+        ["verify", "--paths", str(out_dir), "--params", params_file, "--lags", "0:3:4"]
+    )
+    assert rc == 0
+    assert "skipped 1 file: notes.csv (not a path file)" in capsys.readouterr().err
+
+
+def test_verify_reads_integrate_from_manifest(params_file, tmp_path):
+    out_dir = tmp_path / "walks"
+    main(
+        [
+            "simulate", "--params", params_file,
+            "--n", "16", "--replicates", "40", "--integrate", "--out", str(out_dir),
+        ]
+    )
+    argv = ["verify", "--paths", str(out_dir), "--params", params_file, "--lags", "0:3:4"]
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    # t columns start at 0: a manifest claiming increments is contradicted
+    manifest_path.write_text(json.dumps({**manifest, "integrate": False}))
+    assert main(argv) == 2
+    # without a manifest the t column decides
+    manifest_path.unlink()
+    assert main(argv) == 0
+
+
+def test_verify_rejects_unreadable_path_file(params_file, tmp_path):
+    out_dir = tmp_path / "paths"
+    main(
+        [
+            "simulate", "--params", params_file,
+            "--n", "16", "--replicates", "40", "--out", str(out_dir),
+        ]
+    )
+    argv = ["verify", "--paths", str(out_dir), "--params", params_file]
+    target = out_dir / "path_00000.csv"
+    target.write_text("t,X_1,X_2\n1,0.5,oops\n")
+    assert main(argv) == 2
+    target.write_text("t,X_1,X_2\n")
+    with pytest.warns(UserWarning, match="no data"):
+        assert main(argv) == 2
+
+
 def test_verify_rejects_empty_directory(params_file, tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -254,10 +309,13 @@ def test_limits_rejects_mismatched_p(tmp_path):
 
 
 def test_module_entry_point(params_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mfbm", "check", "--params", params_file],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "admissible: True" in proc.stdout

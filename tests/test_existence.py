@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -55,6 +57,15 @@ def test_check_admissibility_threshold():
     assert report.threshold == pytest.approx(1e-10 * q_scale, rel=1e-12)
     with pytest.raises(ValueError):
         check_admissibility(params, psd_tol=-1.0)
+
+
+def test_check_admissibility_rejects_non_finite_entries():
+    # validation runs first, so no NaN eigenvalue and no RuntimeWarning
+    params = make_params([0.3, 0.7], rho01=0.3, eta01=np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="invalid parameters.*eta"):
+            check_admissibility(params)
 
 
 def test_max_correlation_frozen_anchors():

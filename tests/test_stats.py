@@ -57,6 +57,49 @@ def test_empirical_cross_cov_replicate_order_invariant():
     assert se == pytest.approx(se2, rel=1e-12)
 
 
+def direct_lag_moments(values, i, j, h):
+    """Reference: per-replicate mean of explicit window products."""
+    n = values.shape[1]
+    if h >= 0:
+        lead, lag = values[:, : n - h, i], values[:, h:, j]
+    else:
+        lead, lag = values[:, -h:, i], values[:, : n + h, j]
+    per_replicate = np.mean(lead * lag, axis=1)
+    return per_replicate.mean(), per_replicate.std(ddof=1) / np.sqrt(len(values))
+
+
+def test_batched_estimator_matches_definition():
+    p, n = 3, 17
+    values = iid_ensemble(reps=30, n=n, p=p, seed=7) + 0.5
+    lags = [0, 1, 5, -1, -7, n - 1, -(n - 1)]
+    params = make_params([0.3, 0.7, 0.5])
+    cells, _ = compare_report(values, params, lags)
+    assert [(c.h, c.i, c.j) for c in cells] == [
+        (float(h), i, j) for h in lags for i in range(p) for j in range(p)
+    ]
+    for c in cells:
+        want_est, want_se = direct_lag_moments(values, c.i, c.j, int(c.h))
+        assert c.empirical == pytest.approx(want_est, rel=1e-12)
+        assert c.stderr == pytest.approx(want_se, rel=1e-12)
+        assert c.n_replicates == 30
+        est, se = empirical_cross_cov(values, c.i, c.j, int(c.h))
+        assert est == pytest.approx(want_est, rel=1e-12)
+        assert se == pytest.approx(want_se, rel=1e-12)
+
+
+def test_compare_report_input_checks():
+    values = iid_ensemble(reps=30, n=17, p=3)
+    params = make_params([0.3, 0.7, 0.5])
+    with pytest.raises(ValueError, match="replicates"):
+        compare_report(values[:29], params, [0])
+    with pytest.raises(ValueError, match="path length"):
+        compare_report(values, params, [0, 17])
+    with pytest.raises(ValueError, match="path length"):
+        compare_report(values, params, [-17])
+    with pytest.raises(ValueError, match="shape"):
+        compare_report(values[0], params, [0])
+
+
 def test_compare_report_accepts_matched_law():
     params = make_params([0.3, 0.7], rho01=0.3, eta01=0.1)
     config = SimulationConfig(n=32, replicates=400, seed=21)
