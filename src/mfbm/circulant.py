@@ -7,6 +7,10 @@ right conjugate symmetry, colored by the Hermitian square roots of those
 blocks and transformed back, have exactly the target law whenever every
 block eigenvalue is nonnegative.
 
+The spectrum of a real embedding is conjugate-mirrored, so only the
+frequencies 0..m/2 are stored and colored; one real inverse transform of
+that half spectrum (numpy's ``hfft``) returns the real path directly.
+
 Increments are simulated at unit step; rescale by self-similarity for
 other steps. Integrated paths are cumulative sums with a leading zero.
 """
@@ -19,8 +23,10 @@ from typing import Any
 
 import numpy as np
 
-from .covariance import increment_covariance, lag_block_array
-from .existence import check_admissibility
+# increment_covariance is unused here, but the benchmark tracer
+# (perfbench/tracing.py) wraps it under this module's name
+from .covariance import increment_covariance, lag_block_array  # noqa: F401
+from .existence import _ridged_cholesky, check_admissibility
 from .params import MfbmParams, validate
 
 __all__ = [
@@ -79,7 +85,6 @@ class SimulationConfig:
     replicates: int = 1
     eig_policy: EigPolicy = EigPolicy.GROW
     max_doublings: int = 4
-    imag_tol: float = 1e-8
 
     def __post_init__(self):
         if self.n < 1:
@@ -90,8 +95,6 @@ class SimulationConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be nonnegative")
-        if self.imag_tol < 0.0:
-            raise ValueError("imag_tol must be nonnegative")
         if self.m is not None:
             if not _is_power_of_two(self.m):
                 raise ValueError(f"m must be a power of 2, got {self.m}")
@@ -114,10 +117,13 @@ class CirculantPlan:
     """Frozen factorization shared by all replicates of a run.
 
     c_blocks[j] is the circulant generator block, b_blocks[k] its DFT,
-    sqrt_blocks[k] the Hermitian PSD square root actually applied.
+    sqrt_blocks[k] the Hermitian PSD square root actually applied, held
+    for the frequencies k = 0..m/2 only (shape (m/2+1, p, p)).
     exact is False only when eigenvalue mass beyond round-off was
     truncated; truncated_mass records everything clipped, round-off
-    included.
+    included. doublings counts how often the order was doubled from the
+    configured one; min_rel_eigenvalue is the smallest block eigenvalue
+    over the largest.
     """
 
     params: MfbmParams
@@ -129,7 +135,8 @@ class CirculantPlan:
     sqrt_blocks: np.ndarray
     truncated_mass: float
     exact: bool
-    scale: float
+    doublings: int
+    min_rel_eigenvalue: float
 
     def __post_init__(self):
         for name in ("c_blocks", "b_blocks", "eigenvalues", "sqrt_blocks"):
@@ -164,16 +171,19 @@ def _embedding_blocks(params: MfbmParams, m: int) -> np.ndarray:
 def _spectral_blocks(c_blocks: np.ndarray) -> np.ndarray:
     """Per-frequency Hermitian blocks: scalar DFT of each (u, v) sequence.
 
-    Only u <= v is transformed; the lower triangle is set by conjugation,
-    making every block Hermitian by construction.
+    Only u <= v and frequencies 0..m/2 are transformed (real input, so
+    rfft); the mirrored frequencies and the lower triangle are set by
+    conjugation, making every block Hermitian by construction.
     """
     m, p, _ = c_blocks.shape
+    half = m // 2
     b = np.empty((m, p, p), dtype=complex)
     for u in range(p):
         for v in range(u, p):
-            b[:, u, v] = np.fft.fft(c_blocks[:, u, v])
+            b[: half + 1, u, v] = np.fft.rfft(c_blocks[:, u, v])
             if v > u:
-                b[:, v, u] = np.conj(b[:, u, v])
+                b[: half + 1, v, u] = np.conj(b[: half + 1, u, v])
+    b[half + 1 :] = np.conj(b[half - 1 : 0 : -1])
     return b
 
 
@@ -194,9 +204,8 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
             f"(minimum eigenvalue {adm.min_eigenvalue:.3e})"
         )
     m = config.resolved_m()
-    doublings_left = (
-        config.max_doublings if config.eig_policy is EigPolicy.GROW else 0
-    )
+    doublings = 0
+    max_doublings = config.max_doublings if config.eig_policy is EigPolicy.GROW else 0
     while True:
         c_blocks = _embedding_blocks(params, m)
         b_blocks = _spectral_blocks(c_blocks)
@@ -210,8 +219,8 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
         neg_floor = -NEGATIVE_EIG_REL_TOL * float(vals.max())
         worst = float(vals.min())
         if worst < neg_floor:
-            if doublings_left > 0:
-                doublings_left -= 1
+            if doublings < max_doublings:
+                doublings += 1
                 m *= 2
                 continue
             if config.eig_policy is not EigPolicy.TRUNCATE:
@@ -223,14 +232,8 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
         truncated_mass = float(np.abs(np.minimum(vals, 0.0)).sum())
         exact = bool(worst >= neg_floor)
         sqrt_vals = np.sqrt(np.maximum(vals_half, 0.0))
-        sqrt_blocks = np.empty((m, p, p), dtype=complex)
-        sqrt_blocks[: half + 1] = np.einsum(
+        sqrt_blocks = np.einsum(
             "kup,kp,kvp->kuv", vecs_half, sqrt_vals, np.conj(vecs_half), optimize=True
-        )
-        # mirrored frequencies share the conjugate decomposition exactly
-        sqrt_blocks[half + 1 :] = np.conj(sqrt_blocks[half - 1 : 0 : -1])
-        var0 = np.array(
-            [increment_covariance(params, i, i, 0.0, 1.0) for i in range(p)]
         )
         return CirculantPlan(
             params=params,
@@ -242,7 +245,8 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
             sqrt_blocks=sqrt_blocks,
             truncated_mass=truncated_mass,
             exact=exact,
-            scale=float(np.sqrt(var0.max())),
+            doublings=doublings,
+            min_rel_eigenvalue=worst / float(vals.max()),
         )
 
 
@@ -261,7 +265,6 @@ def _path_meta(config: SimulationConfig, plan_m: int, exact: bool, truncated_mas
         "seed": config.seed,
         "replicates": config.replicates,
         "eig_policy": config.eig_policy.value,
-        "imag_tol": config.imag_tol,
         "integrate": integrate,
         "replicate": replicate,
         "exact": exact,
@@ -276,9 +279,10 @@ def simulate(
     """Draw config.replicates paths from the factored embedding.
 
     Returns increment paths of shape (n, p), or integrated paths of
-    shape (n+1, p) starting at zero when integrate is set. A residual
-    imaginary part beyond imag_tol means broken conjugate symmetry and
-    raises rather than returning corrupt data.
+    shape (n+1, p) starting at zero when integrate is set. Only the
+    frequencies 0..m/2 are colored; hfft of that Hermitian half equals
+    the real part of the full complex FFT, so the paths are real by
+    construction.
     """
     m, p, n = plan.m, plan.params.p, config.n
     if n > plan.n:
@@ -286,29 +290,21 @@ def simulate(
     half = m // 2
     inv_root = 1.0 / np.sqrt(2.0 * m)
     root2 = np.sqrt(2.0)
-    buf = np.empty((2 * half, p))
+    buf = np.empty((m, p))
     u = buf[: half + 1]
     v = buf[half + 1 :]
-    z = np.empty((m, p), dtype=complex)
+    z = np.empty((half + 1, p), dtype=complex)
     out: list[SamplePath] = []
     for r in range(config.replicates):
         rng = _replicate_rng(config.seed, r)
         rng.standard_normal(out=buf)
         z[0] = root2 * u[0]
         z[half] = root2 * u[half]
-        if half > 1:
-            z[1:half] = u[1:half] + 1j * v
-            z[half + 1 :] = np.conj(z[half - 1 : 0 : -1])
+        z[1:half] = u[1:half] + 1j * v
         z *= inv_root
         w = np.einsum("kuv,kv->ku", plan.sqrt_blocks, z)
-        path_c = np.fft.fft(w, axis=0)[:n]
-        resid = float(np.max(np.abs(path_c.imag)))
-        if resid > config.imag_tol * plan.scale:
-            raise CirculantEmbeddingError(
-                f"residual imaginary magnitude {resid:.3e} exceeds tolerance; "
-                "conjugate symmetry of the spectral draw is broken"
-            )
-        values = np.ascontiguousarray(path_c.real)
+        # copy: a view would keep the m-row transform alive with the path
+        values = np.fft.hfft(w, n=m, axis=0)[:n].copy()
         if integrate:
             values = np.vstack([np.zeros((1, p)), np.cumsum(values, axis=0)])
         out.append(
@@ -351,21 +347,12 @@ def dense_oracle_simulate(
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense oracle is capped at n = {DENSE_ORACLE_MAX_N}")
     full = toeplitz_covariance(params, n)
-    shift = 0.0
     try:
-        chol = np.linalg.cholesky(full)
+        chol, shift = _ridged_cholesky(full, 1e-12 * float(np.max(np.diag(full))))
     except np.linalg.LinAlgError:
-        shift = 1e-12 * float(np.max(np.diag(full)))
-        for _ in range(64):
-            try:
-                chol = np.linalg.cholesky(full + shift * np.eye(n * params.p))
-                break
-            except np.linalg.LinAlgError:
-                shift *= 2.0
-        else:
-            raise CirculantEmbeddingError(
-                "dense covariance is numerically indefinite"
-            ) from None
+        raise CirculantEmbeddingError(
+            "dense covariance is numerically indefinite"
+        ) from None
     p = params.p
     out = []
     for r in range(replicates):

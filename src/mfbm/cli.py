@@ -24,7 +24,7 @@ from .circulant import (
     build_plan,
     simulate,
 )
-from .covariance import increment_covariance, mfbm_covariance
+from .covariance import lag_block_array, mfbm_covariance
 from .existence import (
     SpecialCase,
     admissible_boundary,
@@ -103,12 +103,12 @@ def _load_valid_params(path: str) -> MfbmParams:
 def _cmd_covariance(args) -> int:
     params = _load_valid_params(args.params)
     lags = _parse_grid(args.lags)
-    rows = []
-    for h in lags:
-        for i in range(params.p):
-            for j in range(params.p):
-                g = increment_covariance(params, i, j, h, args.delta)
-                rows.append([i, j, _fmt(h), _fmt(args.delta), _fmt(g)])
+    blocks = lag_block_array(params, lags, args.delta)
+    rows = [
+        [i, j, _fmt(h), _fmt(args.delta), _fmt(g)]
+        for h, block in zip(lags, blocks)
+        for (i, j), g in np.ndenumerate(block)
+    ]
     _write_rows(args.out, ["i", "j", "h", "delta", "gamma"], rows)
     return 0
 
@@ -227,6 +227,8 @@ def _cmd_simulate(args) -> int:
         "m": plan.m,
         "truncated_mass": plan.truncated_mass,
         "exact": plan.exact,
+        "doublings": plan.doublings,
+        "min_rel_eigenvalue": plan.min_rel_eigenvalue,
         "wall_time_seconds": wall,
     }
     with open(out_dir / "manifest.json", "w") as handle:

@@ -94,6 +94,26 @@ def check_admissibility(params: MfbmParams, psd_tol: float = 1e-10) -> Admissibi
     )
 
 
+def _ridged_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, float]:
+    """Cholesky factor of matrix and the diagonal ridge it needed.
+
+    Tries the plain factorization first (ridge 0.0), then matrix + shift I
+    with shift doubled after each failure, at most 64 times; raises
+    np.linalg.LinAlgError when every attempt fails.
+    """
+    try:
+        return np.linalg.cholesky(matrix), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    eye = np.eye(matrix.shape[0])
+    for _ in range(64):
+        try:
+            return np.linalg.cholesky(matrix + shift * eye), shift
+        except np.linalg.LinAlgError:
+            shift *= 2.0
+    raise np.linalg.LinAlgError("matrix stays indefinite after 64 ridge doublings")
+
+
 def max_correlation(h1: float, h2: float, case: SpecialCase) -> float:
     """Largest symmetric coefficient admitting a bivariate process with
     Hurst exponents (h1, h2), under the given special case.

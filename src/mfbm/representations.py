@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .existence import SpecialCase, check_admissibility
+from .existence import SpecialCase, _ridged_cholesky, check_admissibility
 from .params import MfbmParams, PairKind
 from .spectral import coherence
 
@@ -101,25 +101,17 @@ def spectral_factor(params: MfbmParams, psd_tol: float = 1e-10) -> SpectralFacto
             f"(threshold -{report.threshold:.3e})"
         )
     target = gram_target(params)
-    try:
-        return SpectralFactor(matrix=np.linalg.cholesky(target))
-    except np.linalg.LinAlgError:
-        pass
     shift = psd_tol * float(np.max(np.real(np.diag(target))))
     if shift <= 0.0:
         shift = np.finfo(float).tiny
-    eye = np.eye(params.p)
-    for _ in range(64):
-        try:
-            return SpectralFactor(
-                matrix=np.linalg.cholesky(target + shift * eye), diag_shift=shift
-            )
-        except np.linalg.LinAlgError:
-            shift *= 2.0
-    raise CovarianceExistenceError(
-        "factorization failed despite admissibility; target is numerically "
-        "far from positive semidefinite"
-    )
+    try:
+        factor, shift = _ridged_cholesky(target, shift)
+    except np.linalg.LinAlgError:
+        raise CovarianceExistenceError(
+            "factorization failed despite admissibility; target is numerically "
+            "far from positive semidefinite"
+        ) from None
+    return SpectralFactor(matrix=factor, diag_shift=shift)
 
 
 def spectral_factor_p2(params: MfbmParams) -> SpectralFactor:

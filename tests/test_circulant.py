@@ -14,6 +14,7 @@ from mfbm import (
     simulate,
     toeplitz_covariance,
 )
+from mfbm.circulant import _replicate_rng
 from conftest import make_params, random_admissible
 
 # Admissible pair whose circulant embedding is indefinite at every
@@ -23,6 +24,10 @@ STUBBORN = make_params(
     rho01=-0.1350304501824543,
     eta01=-0.41199791578472383,
 )
+
+# Pair whose order-4 embedding for n=3 is indefinite (smallest relative
+# eigenvalue -5.8e-4) while the order-8 one is not.
+GROWS_ONCE = make_params([0.95, 0.6], rho01=-0.6)
 
 
 def test_default_embedding_order_values():
@@ -46,7 +51,6 @@ def test_config_validation():
         dict(n=4, replicates=0),
         dict(n=4, seed=-1),
         dict(n=4, max_doublings=-1),
-        dict(n=4, imag_tol=-1e-9),
         dict(n=4, m=12),
         dict(n=10, m=16),
     ):
@@ -91,12 +95,74 @@ def test_plan_eigen_mirror_and_exactness(rng):
     half = plan.m // 2
     for k in range(1, half):
         assert np.array_equal(plan.eigenvalues[plan.m - k], plan.eigenvalues[k])
+    assert plan.sqrt_blocks.shape == (half + 1, 2, 2)
     rebuilt = np.einsum(
         "kuv,kvw->kuw", plan.sqrt_blocks, plan.sqrt_blocks, optimize=True
     )
     assert np.allclose(
-        rebuilt, plan.b_blocks, rtol=0, atol=1e-9 * np.abs(plan.b_blocks).max()
+        rebuilt,
+        plan.b_blocks[: half + 1],
+        rtol=0,
+        atol=1e-9 * np.abs(plan.b_blocks).max(),
     )
+
+
+def test_plan_records_doublings_and_eigenvalue_margin():
+    plan = build_plan(GROWS_ONCE, SimulationConfig(n=3, m=4))
+    assert (plan.m, plan.doublings, plan.exact) == (8, 1, True)
+    vals = plan.eigenvalues
+    assert plan.min_rel_eigenvalue == vals.min() / vals.max()
+    assert plan.min_rel_eigenvalue > 0.0
+    kept = build_plan(GROWS_ONCE, SimulationConfig(n=3, m=4, eig_policy="truncate"))
+    assert (kept.m, kept.doublings, kept.exact) == (4, 0, False)
+    assert kept.min_rel_eigenvalue < -1e-4
+
+
+def _reference_paths(plan, config, integrate):
+    """simulate rebuilt from its definition: the same Philox draws as a
+    full Hermitian vector, full-length square roots of b_blocks, and the
+    real part of a complex FFT."""
+    m, p, n = plan.m, plan.params.p, config.n
+    half = m // 2
+    vals, vecs = np.linalg.eigh(plan.b_blocks)
+    roots = np.einsum(
+        "kup,kp,kvp->kuv", vecs, np.sqrt(np.maximum(vals, 0.0)), np.conj(vecs)
+    )
+    out = []
+    for r in range(config.replicates):
+        buf = np.empty((m, p))
+        _replicate_rng(config.seed, r).standard_normal(out=buf)
+        z = np.empty((m, p), dtype=complex)
+        z[0] = np.sqrt(2.0) * buf[0]
+        z[half] = np.sqrt(2.0) * buf[half]
+        for k in range(1, half):
+            z[k] = buf[k] + 1j * buf[half + k]
+            z[m - k] = np.conj(z[k])
+        z /= np.sqrt(2.0 * m)
+        x = np.fft.fft(np.einsum("kuv,kv->ku", roots, z), axis=0)[:n].real
+        if integrate:
+            x = np.vstack([np.zeros((1, p)), np.cumsum(x, axis=0)])
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_simulate_matches_definition(rng, p, n):
+    params = random_admissible(rng, p)
+    config = SimulationConfig(n=n, replicates=3, seed=41)
+    cases = [(build_plan(params, config), config)]
+    if p == 2 and n == 17:
+        stubborn = SimulationConfig(n=8, m=16, eig_policy="truncate", replicates=2)
+        cases.append((build_plan(STUBBORN, stubborn), stubborn))
+    for plan, cfg in cases:
+        for integrate in (False, True):
+            paths = simulate(plan, cfg, integrate=integrate)
+            for path, want in zip(paths, _reference_paths(plan, cfg, integrate)):
+                assert path.values.flags.c_contiguous and path.values.flags.owndata
+                assert np.allclose(
+                    path.values, want, rtol=0, atol=1e-12 * np.abs(want).max()
+                )
 
 
 def test_simulate_shapes_and_integration(rng):

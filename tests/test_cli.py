@@ -173,6 +173,24 @@ def test_simulate_then_verify_round_trip(params_file, tmp_path):
     assert {r["h"] for r in rows} == {"0.0", "1.0", "2.0", "3.0", "4.0", "5.0"}
 
 
+def test_simulate_manifest_records_embedding_growth(tmp_path):
+    # order-4 embedding of n=3 is indefinite for this pair; order 8 is not
+    params_path = tmp_path / "grows.json"
+    dump_params(make_params([0.95, 0.6], rho01=-0.6), params_path)
+    out_dir = tmp_path / "paths"
+    rc = main(
+        [
+            "simulate", "--params", str(params_path),
+            "--n", "3", "--m", "4", "--replicates", "2", "--out", str(out_dir),
+        ]
+    )
+    assert rc == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["m"] == 8 and manifest["doublings"] == 1
+    assert manifest["min_rel_eigenvalue"] > 0.0
+    assert manifest["wall_time_seconds"] > 0.0
+
+
 def test_simulate_integrated_paths_verify(params_file, tmp_path):
     out_dir = tmp_path / "walks"
     rc = main(
