@@ -13,8 +13,7 @@ import csv
 import numpy as np
 
 from mfbm import limit_target, mfbm_covariance, simulate_partial_sums
-from mfbm.cli import _load_kernel_spec
-from mfbm.limits import KernelRegime, KernelSide, KernelSpec
+from mfbm.limits import KernelRegime, KernelSide, KernelSpec, load_kernel_spec
 
 
 def default_spec() -> KernelSpec:
@@ -33,7 +32,7 @@ def main() -> None:
     ap.add_argument("--out", default="partial_sum_convergence.csv")
     args = ap.parse_args()
 
-    spec = _load_kernel_spec(args.kernels) if args.kernels else default_spec()
+    spec = load_kernel_spec(args.kernels) if args.kernels else default_spec()
     target = limit_target(spec)
     rows = []
     for n_text in args.n_grid.split(","):

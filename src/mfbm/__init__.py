@@ -1,146 +1,42 @@
 """Multivariate fractional Brownian motion: covariances, spectra,
 existence tests, spectral and moving average representations, exact
 circulant-embedding synthesis, and partial-sum limit experiments.
+
+Each module declares its public names once, in its own ``__all__``; the
+package re-exports them and builds its ``__all__`` from those lists.
 """
-from .circulant import (
-    CirculantEmbeddingError,
-    CirculantPlan,
-    EigPolicy,
-    SamplePath,
-    SimulationConfig,
-    build_plan,
-    default_embedding_order,
-    dense_oracle_simulate,
-    simulate,
-    toeplitz_covariance,
+from . import (
+    circulant,
+    covariance,
+    existence,
+    limits,
+    params,
+    representations,
+    spectral,
+    stats,
 )
-from .covariance import (
-    LagBlock,
-    covariance_tail_constant,
-    increment_covariance,
-    is_time_reversible,
-    lag_block,
-    lag_block_array,
-    mfbm_covariance,
-    structure_function,
-)
-from .existence import (
-    AdmissibilityReport,
-    SpecialCase,
-    admissibility_matrix,
-    admissible_boundary,
-    check_admissibility,
-    max_correlation,
-    pair_coherence_at,
-)
-from .limits import (
-    KernelRegime,
-    KernelSide,
-    KernelSpec,
-    LimitTarget,
-    limit_target,
-    realize_kernel,
-    simulate_partial_sums,
-)
-from .params import (
-    MfbmParams,
-    PairKind,
-    ValidationReport,
-    dump_params,
-    eta_from_prime,
-    eta_prime,
-    load_params,
-    params_from_dict,
-    params_to_dict,
-    validate,
-)
-from .representations import (
-    CovarianceExistenceError,
-    MovingAveragePair,
-    SpectralFactor,
-    gram_target,
-    ma_from_spectral,
-    params_from_ma,
-    special_case_eta,
-    spectral_factor,
-    spectral_factor_p2,
-    spectral_from_ma,
-)
-from .spectral import (
-    coherence,
-    cross_spectral_density,
-    low_frequency_modulus,
-    spectral_coeff,
-)
-from .stats import (
-    CovComparison,
-    ReportSummary,
-    compare_report,
-    empirical_cross_cov,
-    ensemble_from_paths,
-)
+from .circulant import *  # noqa: F403
+from .covariance import *  # noqa: F403
+from .existence import *  # noqa: F403
+from .limits import *  # noqa: F403
+from .params import *  # noqa: F403
+from .representations import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .stats import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport",
-    "CirculantEmbeddingError",
-    "CirculantPlan",
-    "CovComparison",
-    "CovarianceExistenceError",
-    "EigPolicy",
-    "KernelRegime",
-    "KernelSide",
-    "KernelSpec",
-    "LagBlock",
-    "LimitTarget",
-    "MfbmParams",
-    "MovingAveragePair",
-    "PairKind",
-    "ReportSummary",
-    "SamplePath",
-    "SimulationConfig",
-    "SpecialCase",
-    "SpectralFactor",
-    "ValidationReport",
-    "admissibility_matrix",
-    "admissible_boundary",
-    "build_plan",
-    "check_admissibility",
-    "coherence",
-    "compare_report",
-    "covariance_tail_constant",
-    "cross_spectral_density",
-    "default_embedding_order",
-    "dense_oracle_simulate",
-    "dump_params",
-    "empirical_cross_cov",
-    "ensemble_from_paths",
-    "eta_from_prime",
-    "eta_prime",
-    "gram_target",
-    "increment_covariance",
-    "is_time_reversible",
-    "lag_block",
-    "lag_block_array",
-    "limit_target",
-    "load_params",
-    "ma_from_spectral",
-    "max_correlation",
-    "mfbm_covariance",
-    "pair_coherence_at",
-    "params_from_dict",
-    "params_from_ma",
-    "params_to_dict",
-    "realize_kernel",
-    "simulate",
-    "simulate_partial_sums",
-    "special_case_eta",
-    "spectral_coeff",
-    "spectral_factor",
-    "spectral_factor_p2",
-    "spectral_from_ma",
-    "structure_function",
-    "toeplitz_covariance",
-    "validate",
-]
+__all__ = sorted(
+    name
+    for module in (
+        circulant,
+        covariance,
+        existence,
+        limits,
+        params,
+        representations,
+        spectral,
+        stats,
+    )
+    for name in module.__all__
+)

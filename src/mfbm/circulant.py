@@ -16,7 +16,6 @@ other steps. Integrated paths are cumulative sums with a leading zero.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -192,7 +191,9 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
 
     Negative block eigenvalues below -NEGATIVE_EIG_REL_TOL times the
     spectral maximum trigger the configured policy; smaller negatives are
-    round-off and are clipped silently.
+    round-off and are clipped silently. The grow policy doubles m at most
+    max_doublings times and gives up as soon as a doubling fails to shrink
+    the negative eigenvalue mass; the error names every order tried.
     """
     report = validate(params)
     if not report.ok:
@@ -204,8 +205,7 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
             f"(minimum eigenvalue {adm.min_eigenvalue:.3e})"
         )
     m = config.resolved_m()
-    doublings = 0
-    max_doublings = config.max_doublings if config.eig_policy is EigPolicy.GROW else 0
+    tried: list[tuple[int, float, float]] = []  # (order, worst eigenvalue, negative mass)
     while True:
         c_blocks = _embedding_blocks(params, m)
         b_blocks = _spectral_blocks(c_blocks)
@@ -216,21 +216,26 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
         vals[: half + 1] = vals_half
         vals[half + 1 :] = vals_half[half - 1 : 0 : -1]
 
-        neg_floor = -NEGATIVE_EIG_REL_TOL * float(vals.max())
         worst = float(vals.min())
-        if worst < neg_floor:
-            if doublings < max_doublings:
-                doublings += 1
+        exact = bool(worst >= -NEGATIVE_EIG_REL_TOL * float(vals.max()))
+        truncated_mass = float(np.abs(np.minimum(vals, 0.0)).sum())
+        if not exact and config.eig_policy is not EigPolicy.TRUNCATE:
+            tried.append((m, worst, truncated_mass))
+            # growing stops at the cap, or once a doubling leaves the
+            # negative mass no smaller than before it
+            if (
+                config.eig_policy is EigPolicy.GROW
+                and len(tried) <= config.max_doublings
+                and (len(tried) == 1 or truncated_mass < tried[-2][2])
+            ):
                 m *= 2
                 continue
-            if config.eig_policy is not EigPolicy.TRUNCATE:
-                raise CirculantEmbeddingError(
-                    f"embedding of order m={m} has negative eigenvalue "
-                    f"{worst:.6e}; retry with a larger m or "
-                    f"eig_policy={EigPolicy.TRUNCATE.value!r}"
-                )
-        truncated_mass = float(np.abs(np.minimum(vals, 0.0)).sum())
-        exact = bool(worst >= neg_floor)
+            orders = ", ".join(f"m={k}: {w:.6e}" for k, w, _ in tried)
+            raise CirculantEmbeddingError(
+                f"embedding has a negative eigenvalue at every order tried "
+                f"({orders}); eig_policy={EigPolicy.TRUNCATE.value!r} clips "
+                "them at the cost of exactness"
+            )
         sqrt_vals = np.sqrt(np.maximum(vals_half, 0.0))
         sqrt_blocks = np.einsum(
             "kup,kp,kvp->kuv", vecs_half, sqrt_vals, np.conj(vecs_half), optimize=True
@@ -245,7 +250,7 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
             sqrt_blocks=sqrt_blocks,
             truncated_mass=truncated_mass,
             exact=exact,
-            doublings=doublings,
+            doublings=len(tried),
             min_rel_eigenvalue=worst / float(vals.max()),
         )
 

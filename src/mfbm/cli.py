@@ -31,7 +31,7 @@ from .existence import (
     check_admissibility,
     max_correlation,
 )
-from .limits import KernelSide, KernelSpec, limit_target, simulate_partial_sums
+from .limits import limit_target, load_kernel_spec, simulate_partial_sums
 from .params import MfbmParams, load_params, params_to_dict, validate
 from .representations import (
     CovarianceExistenceError,
@@ -116,15 +116,17 @@ def _cmd_covariance(args) -> int:
 def _cmd_spectrum(args) -> int:
     params = _load_valid_params(args.params)
     omegas = _parse_grid(args.omegas)
-    rows = []
-    for w in omegas:
-        for i in range(params.p):
-            for j in range(params.p):
-                s = cross_spectral_density(params, i, j, w, args.delta)
-                c = coherence(params, i, j) if i != j else 1.0
-                rows.append(
-                    [i, j, _fmt(w), _fmt(args.delta), _fmt(s.real), _fmt(s.imag), _fmt(c)]
-                )
+    p = params.p
+    dens = np.empty((omegas.shape[0], p, p), dtype=complex)
+    coh = np.ones((p, p))
+    for i, j in np.ndindex(p, p):
+        dens[:, i, j] = cross_spectral_density(params, i, j, omegas, args.delta)
+        if i != j:
+            coh[i, j] = coherence(params, i, j)
+    rows = [
+        [i, j, _fmt(omegas[k]), _fmt(args.delta), _fmt(s.real), _fmt(s.imag), _fmt(coh[i, j])]
+        for (k, i, j), s in np.ndenumerate(dens)
+    ]
     _write_rows(
         args.out, ["i", "j", "omega", "delta", "re_S", "im_S", "coherence"], rows
     )
@@ -209,13 +211,15 @@ def _cmd_simulate(args) -> int:
     start = time.perf_counter()
     plan = build_plan(params, config)
     paths = simulate(plan, config, integrate=args.integrate)
-    header = ["t"] + [f"X_{k + 1}" for k in range(params.p)]
+    header = ",".join(["t"] + [f"X_{k + 1}" for k in range(params.p)]) + "\n"
+    row = "%d" + ("," + _FMT) * params.p + "\n"
+    t0 = 0 if args.integrate else 1
     for path in paths:
-        t0 = 0 if args.integrate else 1
-        rows = [
-            [str(t0 + t)] + [_fmt(v) for v in row] for t, row in enumerate(path.values)
-        ]
-        _write_rows(str(out_dir / f"path_{path.replicate:05d}.csv"), header, rows)
+        with open(out_dir / f"path_{path.replicate:05d}.csv", "w", newline="") as handle:
+            handle.write(header)
+            handle.writelines(
+                row % (t0 + t, *values) for t, values in enumerate(path.values.tolist())
+            )
     wall = time.perf_counter() - start
     manifest = {
         "params": params_to_dict(params),
@@ -320,37 +324,14 @@ def _cmd_verify(args) -> int:
     return 0 if summary.ok else 1
 
 
-def _kernel_cell(payload) -> KernelSide | None:
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise ValueError("kernel grid cells must be objects or null")
-    extra = set(payload) - {"regime", "alpha", "d"}
-    if extra:
-        raise ValueError(f"unknown kernel cell keys {sorted(extra)}")
-    return KernelSide(
-        regime=payload["regime"], alpha=payload["alpha"], d=payload.get("d", 0.0)
-    )
-
-
-def _load_kernel_spec(path: str) -> KernelSpec:
-    with open(path) as handle:
-        payload = json.load(handle)
-    for key in ("plus", "minus"):
-        if key not in payload:
-            raise ValueError(f"kernel spec is missing {key!r}")
-    plus = tuple(tuple(_kernel_cell(c) for c in row) for row in payload["plus"])
-    minus = tuple(tuple(_kernel_cell(c) for c in row) for row in payload["minus"])
-    spec = KernelSpec(plus=plus, minus=minus, truncation=payload.get("truncation"))
-    if "p" in payload and payload["p"] != spec.p:
-        raise ValueError(f"declared p={payload['p']} but grids are {spec.p} wide")
-    return spec
-
-
 def _cmd_limits(args) -> int:
-    spec = _load_kernel_spec(args.kernels)
-    target = limit_target(spec)
+    spec = load_kernel_spec(args.kernels)
+    params = limit_target(spec).params
     taus = _parse_grid(args.taus)
+    p = spec.p
+    target = np.empty((taus.shape[0], p, p))
+    for i, j in np.ndindex(p, p):
+        target[:, i, j] = mfbm_covariance(params, i, j, taus, taus)
     rows = []
     for n in _parse_int_grid(args.n_grid):
         vals = simulate_partial_sums(
@@ -362,16 +343,13 @@ def _cmd_limits(args) -> int:
             noise=args.noise,
         )
         r = vals.shape[0]
-        for ti, tau in enumerate(taus):
-            for i in range(spec.p):
-                for j in range(spec.p):
-                    prod = vals[:, ti, i] * vals[:, ti, j]
-                    emp = prod.mean()
-                    se = prod.std(ddof=1) / np.sqrt(r) if r > 1 else 0.0
-                    tgt = mfbm_covariance(target.params, i, j, tau, tau)
-                    rows.append(
-                        [n, _fmt(tau), i, j, _fmt(emp), _fmt(tgt), _fmt(se)]
-                    )
+        prod = vals[:, :, :, None] * vals[:, :, None, :]
+        emp = prod.mean(axis=0)
+        se = prod.std(axis=0, ddof=1) / np.sqrt(r) if r > 1 else np.zeros_like(emp)
+        rows.extend(
+            [n, _fmt(taus[t]), i, j, _fmt(e), _fmt(target[t, i, j]), _fmt(se[t, i, j])]
+            for (t, i, j), e in np.ndenumerate(emp)
+        )
     _write_rows(
         args.out,
         ["n", "tau", "component_i", "component_j", "empirical_cov", "target_cov", "mc_stderr"],

@@ -6,8 +6,6 @@ per-lag coefficient blocks, and the power-law tail constant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .params import MfbmParams, PairKind
@@ -16,8 +14,6 @@ __all__ = [
     "structure_function",
     "mfbm_covariance",
     "increment_covariance",
-    "LagBlock",
-    "lag_block",
     "lag_block_array",
     "covariance_tail_constant",
     "is_time_reversible",
@@ -80,30 +76,12 @@ def increment_covariance(
     return out if np.ndim(out) else float(out)
 
 
-@dataclass(frozen=True)
-class LagBlock:
-    """All p*p increment cross-covariances at one lag."""
-
-    h: float
-    delta: float
-    block: np.ndarray
-
-    def __post_init__(self):
-        self.block.setflags(write=False)
-
-
-def lag_block(params: MfbmParams, h: float, delta: float = 1.0) -> LagBlock:
-    """Increment covariance block at a single lag; entry (i,j) pairs i with j."""
-    p = params.p
-    block = np.empty((p, p))
-    for i in range(p):
-        for j in range(p):
-            block[i, j] = increment_covariance(params, i, j, h, delta)
-    return LagBlock(h=float(h), delta=float(delta), block=block)
-
-
 def lag_block_array(params: MfbmParams, hs, delta: float = 1.0) -> np.ndarray:
-    """Stacked increment covariance blocks, shape (len(hs), p, p)."""
+    """Stacked increment covariance blocks, shape (len(hs), p, p).
+
+    Entry [k, i, j] pairs the step of component i with that of component
+    j at lag hs[k]; a single lag h is lag_block_array(params, [h])[0].
+    """
     hs = np.asarray(hs, dtype=float)
     p = params.p
     out = np.empty((hs.shape[0], p, p))

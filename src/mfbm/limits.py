@@ -15,8 +15,10 @@ Monte Carlo noise at the replicate counts used here.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve  # noqa: F401 (perfbench/tracing.py wraps it)
@@ -29,6 +31,7 @@ __all__ = [
     "KernelRegime",
     "KernelSide",
     "KernelSpec",
+    "load_kernel_spec",
     "realize_kernel",
     "LimitTarget",
     "limit_target",
@@ -103,6 +106,38 @@ class KernelSpec:
     @property
     def p(self) -> int:
         return len(self.plus)
+
+
+def _kernel_cell(payload) -> KernelSide | None:
+    if payload is None:
+        return None
+    if not isinstance(payload, dict):
+        raise ValueError("kernel grid cells must be objects or null")
+    extra = set(payload) - {"regime", "alpha", "d"}
+    if extra:
+        raise ValueError(f"unknown kernel cell keys {sorted(extra)}")
+    return KernelSide(
+        regime=payload["regime"], alpha=payload["alpha"], d=payload.get("d", 0.0)
+    )
+
+
+def load_kernel_spec(path: str | Path) -> KernelSpec:
+    """Read a kernel grid from a JSON file.
+
+    Keys plus and minus hold p x p grids of cells {regime, alpha, d} or
+    null; truncation and a declared p are optional.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for key in ("plus", "minus"):
+        if key not in payload:
+            raise ValueError(f"kernel spec is missing {key!r}")
+    plus = tuple(tuple(_kernel_cell(c) for c in row) for row in payload["plus"])
+    minus = tuple(tuple(_kernel_cell(c) for c in row) for row in payload["minus"])
+    spec = KernelSpec(plus=plus, minus=minus, truncation=payload.get("truncation"))
+    if "p" in payload and payload["p"] != spec.p:
+        raise ValueError(f"declared p={payload['p']} but grids are {spec.p} wide")
+    return spec
 
 
 def _half_line(side: KernelSide, K: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .existence import SpecialCase, _ridged_cholesky, check_admissibility
+from .existence import SpecialCase, _ridged_cholesky, admissibility_matrix, check_admissibility
 from .params import MfbmParams, PairKind
 from .spectral import coherence
 
@@ -80,8 +80,6 @@ def gram_target(params: MfbmParams) -> np.ndarray:
     Entry (i, j): (sigma_i sigma_j / 2 pi) Gamma(H_i+H_j+1) times the
     positive-frequency spectral coefficient.
     """
-    from .existence import admissibility_matrix
-
     scale = np.outer(params.sigma, params.sigma) / (2.0 * np.pi)
     return scale * admissibility_matrix(params)
 

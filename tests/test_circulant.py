@@ -10,7 +10,7 @@ from mfbm import (
     build_plan,
     default_embedding_order,
     dense_oracle_simulate,
-    lag_block,
+    lag_block_array,
     simulate,
     toeplitz_covariance,
 )
@@ -73,7 +73,7 @@ def test_plan_blocks_match_lag_covariances(rng):
     m = plan.m
     for j in range(m // 2):
         assert np.allclose(
-            plan.c_blocks[j], lag_block(params, j).block, rtol=0, atol=1e-13
+            plan.c_blocks[j], lag_block_array(params, [j])[0], rtol=0, atol=1e-13
         )
     for j in range(m // 2 + 1, m):
         assert np.array_equal(plan.c_blocks[j], plan.c_blocks[m - j].T)
@@ -239,6 +239,18 @@ def test_stubborn_embedding_grow_policy_exhausts():
         build_plan(STUBBORN, config)
 
 
+def test_stubborn_embedding_grow_policy_stops_when_mass_grows():
+    # negative eigenvalue mass 1.69 at m=16, 3.71 at m=32: one doubling
+    # that does not help ends the walk, far below the default cap
+    config = SimulationConfig(n=8, m=16)
+    assert config.eig_policy is EigPolicy.GROW and config.max_doublings > 1
+    with pytest.raises(CirculantEmbeddingError) as caught:
+        build_plan(STUBBORN, config)
+    message = str(caught.value)
+    assert "m=16: " in message and "m=32: " in message
+    assert "m=64" not in message
+
+
 def test_stubborn_embedding_truncate_policy_degrades():
     config = SimulationConfig(n=8, m=16, eig_policy="truncate", replicates=2)
     plan = build_plan(STUBBORN, config)
@@ -264,7 +276,7 @@ def test_toeplitz_covariance_structure(rng):
     assert full.shape == (12, 12)
     assert np.allclose(full, full.T, rtol=0, atol=1e-15)
     assert np.linalg.eigvalsh(full).min() > -1e-10 * full.max()
-    assert np.allclose(full[0:2, 8:10], lag_block(params, 4).block, atol=1e-15)
+    assert np.allclose(full[0:2, 8:10], lag_block_array(params, [4])[0], atol=1e-15)
 
 
 def test_dense_oracle_caps_length_and_reproduces(rng):

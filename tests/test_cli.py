@@ -8,9 +8,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfbm import dump_params, max_correlation, SpecialCase
+from mfbm import (
+    SimulationConfig,
+    SpecialCase,
+    build_plan,
+    coherence,
+    cross_spectral_density,
+    dump_params,
+    limit_target,
+    load_kernel_spec,
+    load_params,
+    max_correlation,
+    mfbm_covariance,
+    simulate,
+    simulate_partial_sums,
+)
 from mfbm.cli import main
-from conftest import make_params
+from conftest import make_params, random_admissible
 
 
 @pytest.fixture
@@ -73,6 +87,28 @@ def test_spectrum_subcommand(tmp_path):
     assert list(rows[0]) == ["i", "j", "omega", "delta", "re_S", "im_S", "coherence"]
     assert float(rows[0]["re_S"]) == pytest.approx(2.0 / np.pi**3, rel=1e-10)
     assert float(rows[0]["im_S"]) == 0.0
+
+
+def test_spectrum_rows_match_scalar_density(tmp_path):
+    params_path = tmp_path / "p3.json"
+    dump_params(random_admissible(np.random.default_rng(3), 3), params_path)
+    out = tmp_path / "spec.csv"
+    argv = ["spectrum", "--params", str(params_path), "--omegas=-3:3:40", "--delta", "0.7"]
+    assert main(argv + ["--out", str(out)]) == 0
+    params = load_params(params_path)
+    want = ["i,j,omega,delta,re_S,im_S,coherence"]
+    for w in np.linspace(-3.0, 3.0, 40):
+        for i in range(3):
+            for j in range(3):
+                s = cross_spectral_density(params, i, j, w, 0.7)
+                c = coherence(params, i, j) if i != j else 1.0
+                cells = (w, 0.7, s.real, s.imag, c)
+                want.append(f"{i},{j}," + ",".join("%.12g" % v for v in cells))
+    assert out.read_text().splitlines() == want
+
+
+def test_spectrum_rejects_zero_frequency(params_file):
+    assert main(["spectrum", "--params", params_file, "--omegas=-1,0,1"]) == 2
 
 
 def test_check_admissible_and_not(params_file, tmp_path, capsys):
@@ -210,6 +246,25 @@ def test_simulate_integrated_paths_verify(params_file, tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("integrate", [False, True])
+def test_simulate_files_render_the_library_paths(params_file, tmp_path, integrate):
+    out = tmp_path / "paths"
+    argv = ["simulate", "--params", params_file, "--n", "40", "--replicates", "3"]
+    argv += ["--seed", "9", "--out", str(out)] + (["--integrate"] if integrate else [])
+    assert main(argv) == 0
+    config = SimulationConfig(n=40, seed=9, replicates=3)
+    paths = simulate(build_plan(load_params(params_file), config), config, integrate)
+    assert len(list(out.glob("path_*.csv"))) == len(paths)
+    t0 = 0 if integrate else 1
+    for path in paths:
+        lines = ["t,X_1,X_2"] + [
+            f"{t0 + t}," + ",".join("%.12g" % v for v in row)
+            for t, row in enumerate(path.values)
+        ]
+        text = (out / f"path_{path.replicate:05d}.csv").read_text()
+        assert text == "\n".join(lines) + "\n"
+
+
 def test_verify_flags_wrong_law(params_file, tmp_path):
     out_dir = tmp_path / "paths"
     main(
@@ -313,6 +368,45 @@ def test_limits_subcommand(kernels_file, tmp_path):
     assert float(rows[0]["target_cov"]) == pytest.approx(
         20.972324296796103, rel=1e-10
     )
+
+
+def test_limits_matches_per_cell_reference(tmp_path):
+    power = lambda regime, alpha, d: {"regime": regime, "alpha": alpha, "d": d}
+    payload = {
+        "plus": [[power("power_pos", 1.0, 0.2), power("power_neg", 0.5, -0.2)],
+                 [None, power("power_pos", 1.0, 0.3)]],
+        "minus": [[None, None], [power("power_pos", 0.7, 0.3), None]],
+    }
+    kernels = tmp_path / "k2.json"
+    kernels.write_text(json.dumps(payload))
+    out = tmp_path / "limits.csv"
+    argv = ["limits", "--kernels", str(kernels), "--n-grid", "16,40", "--taus", "0,0.5,1"]
+    assert main(argv + ["--replicates", "30", "--seed", "4", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    spec = load_kernel_spec(kernels)
+    params = limit_target(spec).params
+    taus = [0.0, 0.5, 1.0]
+    want = []
+    for n in (16, 40):
+        vals = simulate_partial_sums(spec, n=n, taus=taus, seed=4, replicates=30)
+        for t, tau in enumerate(taus):
+            for i in range(2):
+                for j in range(2):
+                    prod = vals[:, t, i] * vals[:, t, j]
+                    cells = (
+                        prod.mean(),
+                        mfbm_covariance(params, i, j, tau, tau),
+                        prod.std(ddof=1) / np.sqrt(30),
+                    )
+                    want.append(((n, tau, i, j), cells))
+    assert len(rows) == len(want)
+    for row, (key, cells) in zip(rows, want):
+        got_key = (int(row["n"]), float(row["tau"]), int(row["component_i"]),
+                   int(row["component_j"]))
+        assert got_key == key
+        got = [float(row[k]) for k in ("empirical_cov", "target_cov", "mc_stderr")]
+        for g, c in zip(got, cells):
+            assert g == pytest.approx(float("%.12g" % c), rel=1e-12, abs=0.0)
 
 
 def test_limits_rejects_mismatched_p(tmp_path):

@@ -7,7 +7,6 @@ from mfbm import (
     covariance_tail_constant,
     increment_covariance,
     is_time_reversible,
-    lag_block,
     lag_block_array,
     mfbm_covariance,
     structure_function,
@@ -133,12 +132,12 @@ def test_joint_self_similarity(lam, s, t):
 
 
 def test_lag_block_matches_pointwise():
-    block = lag_block(GENERIC, 2.5, delta=0.5)
-    assert block.h == 2.5
-    assert block.delta == 0.5
+    block = lag_block_array(GENERIC, [2.5], delta=0.5)[0]
+    assert block.shape == (2, 2)
     for i in range(2):
         for j in range(2):
-            assert block.block[i, j] == increment_covariance(GENERIC, i, j, 2.5, 0.5)
+            want = increment_covariance(GENERIC, i, j, np.array([2.5]), 0.5)[0]
+            assert block[i, j] == want
 
 
 def test_lag_block_array_shape_and_values():
@@ -151,7 +150,7 @@ def test_lag_block_array_shape_and_values():
 def test_zero_lag_block_is_psd_for_admissible_draws(rng):
     for p in (2, 3, 5):
         params = random_admissible(rng, p)
-        block = lag_block(params, 0.0).block
+        block = lag_block_array(params, [0.0])[0]
         eigs = np.linalg.eigvalsh(block)
         assert eigs.min() >= -1e-12 * eigs.max()
 
