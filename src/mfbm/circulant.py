@@ -7,8 +7,9 @@ right conjugate symmetry, colored by the Hermitian square roots of those
 blocks and transformed back, have exactly the target law whenever every
 block eigenvalue is nonnegative.
 
-The spectrum of a real embedding is conjugate-mirrored, so only the
-frequencies 0..m/2 are stored and colored; one real inverse transform of
+The generator of a real embedding is transpose-mirrored and its
+spectrum conjugate-mirrored, so the plan stores lags and frequencies
+0..m/2 only and colors those frequencies; one real inverse transform of
 that half spectrum (numpy's ``hfft``) returns the real path directly.
 
 Increments are simulated at unit step; rescale by self-similarity for
@@ -57,7 +58,8 @@ def default_embedding_order(n: int) -> int:
     """Smallest power of 2 strictly greater than 2(n-1), at least 2.
 
     Strict: at m = 2(n-1) the corner lag lands on the symmetrized block,
-    which is lossy whenever the lag blocks are asymmetric (p >= 2).
+    which is lossy whenever the lag blocks are asymmetric (p >= 2);
+    build_plan refuses such an explicit m for asymmetric blocks.
     """
     m = 2
     while m <= 2 * (n - 1):
@@ -115,9 +117,13 @@ class CirculantEmbeddingError(RuntimeError):
 class CirculantPlan:
     """Frozen factorization shared by all replicates of a run.
 
-    c_blocks[j] is the circulant generator block, b_blocks[k] its DFT,
-    sqrt_blocks[k] the Hermitian PSD square root actually applied, held
-    for the frequencies k = 0..m/2 only (shape (m/2+1, p, p)).
+    Every stored array covers the lags or frequencies k = 0..m/2 only,
+    shape (m/2+1, ...): c_half[j] is the circulant generator block at
+    lag j (the fold block j = m/2 symmetrized), eigenvalues_half[k] the
+    eigenvalues of its DFT block at frequency k, and sqrt_blocks[k] the
+    Hermitian PSD square root actually applied. The full-length
+    c_blocks, b_blocks (the DFT blocks) and eigenvalues are read-only
+    properties mirrored from the halves on every access.
     exact is False only when eigenvalue mass beyond round-off was
     truncated; truncated_mass records everything clipped, round-off
     included. doublings counts how often the order was doubled from the
@@ -128,9 +134,8 @@ class CirculantPlan:
     params: MfbmParams
     n: int
     m: int
-    c_blocks: np.ndarray
-    b_blocks: np.ndarray
-    eigenvalues: np.ndarray
+    c_half: np.ndarray
+    eigenvalues_half: np.ndarray
     sqrt_blocks: np.ndarray
     truncated_mass: float
     exact: bool
@@ -138,8 +143,20 @@ class CirculantPlan:
     min_rel_eigenvalue: float
 
     def __post_init__(self):
-        for name in ("c_blocks", "b_blocks", "eigenvalues", "sqrt_blocks"):
+        for name in ("c_half", "eigenvalues_half", "sqrt_blocks"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def c_blocks(self) -> np.ndarray:
+        return _unfold(self.c_half, self.m, _transpose)
+
+    @property
+    def b_blocks(self) -> np.ndarray:
+        return _unfold(_spectral_half(self.c_blocks), self.m, np.conj)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return _unfold(self.eigenvalues_half, self.m)
 
 
 @dataclass(frozen=True)
@@ -154,35 +171,52 @@ class SamplePath:
         self.values.setflags(write=False)
 
 
-def _embedding_blocks(params: MfbmParams, m: int) -> np.ndarray:
+def _half_generator(params: MfbmParams, m: int, n: int) -> np.ndarray:
+    """Generator blocks for lags 0..m/2, the fold block symmetrized.
+
+    At m = 2(n-1) the fold is the lag-(n-1) block itself, so an
+    asymmetric one would be sampled with the wrong law: refuse it.
+    """
     half = m // 2
-    gam = lag_block_array(params, np.arange(half + 1), 1.0)
-    p = params.p
-    c = np.empty((m, p, p))
-    c[:half] = gam[:half]
-    c[half] = 0.5 * (gam[half] + gam[half].T)
-    if half > 1:
-        # lags past the fold wrap to negative: block transpose of the mirror
-        c[half + 1 :] = np.transpose(gam[half - 1 : 0 : -1], (0, 2, 1))
+    c = lag_block_array(params, np.arange(half + 1), 1.0)
+    fold = c[half]
+    skew = np.abs(fold - fold.T).max()
+    if half == n - 1 and skew > NEGATIVE_EIG_REL_TOL * np.abs(c[0]).max():
+        raise ValueError(
+            f"m={m} = 2(n-1) folds the asymmetric lag-{n - 1} block onto its "
+            f"transpose; the smallest lossless order is m={default_embedding_order(n)}"
+        )
+    c[half] = 0.5 * (fold + fold.T)
     return c
 
 
-def _spectral_blocks(c_blocks: np.ndarray) -> np.ndarray:
-    """Per-frequency Hermitian blocks: scalar DFT of each (u, v) sequence.
+def _transpose(blocks: np.ndarray) -> np.ndarray:
+    return np.transpose(blocks, (0, 2, 1))
 
-    Only u <= v and frequencies 0..m/2 are transformed (real input, so
-    rfft); the mirrored frequencies and the lower triangle are set by
-    conjugation, making every block Hermitian by construction.
+
+def _unfold(half_rows: np.ndarray, m: int, mirror=lambda rows: rows) -> np.ndarray:
+    """Read-only full-length array from rows 0..m/2: row m-k is mirror(row k)."""
+    half = m // 2
+    out = np.empty((m,) + half_rows.shape[1:], dtype=half_rows.dtype)
+    out[: half + 1] = half_rows
+    out[half + 1 :] = mirror(half_rows[half - 1 : 0 : -1])
+    out.setflags(write=False)
+    return out
+
+
+def _spectral_half(c_blocks: np.ndarray) -> np.ndarray:
+    """Hermitian DFT blocks of the full generator at frequencies 0..m/2.
+
+    Only u <= v is transformed (real input, so rfft); the lower triangle
+    is set by conjugation, making every block Hermitian by construction.
     """
     m, p, _ = c_blocks.shape
-    half = m // 2
-    b = np.empty((m, p, p), dtype=complex)
+    b = np.empty((m // 2 + 1, p, p), dtype=complex)
     for u in range(p):
         for v in range(u, p):
-            b[: half + 1, u, v] = np.fft.rfft(c_blocks[:, u, v])
+            b[:, u, v] = np.fft.rfft(c_blocks[:, u, v])
             if v > u:
-                b[: half + 1, v, u] = np.conj(b[: half + 1, u, v])
-    b[half + 1 :] = np.conj(b[half - 1 : 0 : -1])
+                b[:, v, u] = np.conj(b[:, u, v])
     return b
 
 
@@ -194,6 +228,8 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
     round-off and are clipped silently. The grow policy doubles m at most
     max_doublings times and gives up as soon as a doubling fails to shrink
     the negative eigenvalue mass; the error names every order tried.
+    An explicit m = 2(n-1) raises ValueError unless the lag-(n-1) block
+    is symmetric.
     """
     report = validate(params)
     if not report.ok:
@@ -207,18 +243,17 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
     m = config.resolved_m()
     tried: list[tuple[int, float, float]] = []  # (order, worst eigenvalue, negative mass)
     while True:
-        c_blocks = _embedding_blocks(params, m)
-        b_blocks = _spectral_blocks(c_blocks)
         half = m // 2
-        vals_half, vecs_half = np.linalg.eigh(b_blocks[: half + 1])
-        p = params.p
-        vals = np.empty((m, p))
-        vals[: half + 1] = vals_half
-        vals[half + 1 :] = vals_half[half - 1 : 0 : -1]
+        c_half = _half_generator(params, m, config.n)
+        # the full generator and its transform are temporaries
+        vals, vecs = np.linalg.eigh(_spectral_half(_unfold(c_half, m, _transpose)))
 
         worst = float(vals.min())
-        exact = bool(worst >= -NEGATIVE_EIG_REL_TOL * float(vals.max()))
-        truncated_mass = float(np.abs(np.minimum(vals, 0.0)).sum())
+        largest = float(vals.max())
+        exact = bool(worst >= -NEGATIVE_EIG_REL_TOL * largest)
+        # frequencies 1..m/2-1 stand for their mirrors too
+        clipped = np.abs(np.minimum(vals, 0.0))
+        truncated_mass = float(clipped.sum() + clipped[1:half].sum())
         if not exact and config.eig_policy is not EigPolicy.TRUNCATE:
             tried.append((m, worst, truncated_mass))
             # growing stops at the cap, or once a doubling leaves the
@@ -236,22 +271,21 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
                 f"({orders}); eig_policy={EigPolicy.TRUNCATE.value!r} clips "
                 "them at the cost of exactness"
             )
-        sqrt_vals = np.sqrt(np.maximum(vals_half, 0.0))
+        sqrt_vals = np.sqrt(np.maximum(vals, 0.0))
         sqrt_blocks = np.einsum(
-            "kup,kp,kvp->kuv", vecs_half, sqrt_vals, np.conj(vecs_half), optimize=True
+            "kup,kp,kvp->kuv", vecs, sqrt_vals, np.conj(vecs), optimize=True
         )
         return CirculantPlan(
             params=params,
             n=config.n,
             m=m,
-            c_blocks=c_blocks,
-            b_blocks=b_blocks,
-            eigenvalues=vals,
+            c_half=c_half,
+            eigenvalues_half=vals,
             sqrt_blocks=sqrt_blocks,
             truncated_mass=truncated_mass,
             exact=exact,
             doublings=len(tried),
-            min_rel_eigenvalue=worst / float(vals.max()),
+            min_rel_eigenvalue=worst / largest,
         )
 
 

@@ -45,6 +45,7 @@ from .stats import compare_report
 __all__ = ["main", "build_parser"]
 
 _FMT = "%.12g"
+_GRID_OPTIONS = ("--lags", "--omegas", "--taus", "--max-corr-grid", "--n-grid")
 
 
 def _fmt(x) -> str:
@@ -449,9 +450,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_grid_values(argv) -> list[str]:
+    """Rewrite 'option value' as 'option=value' for every grid option, so
+    that a grid starting with '-' is not taken for an option."""
+    out = []
+    rest = iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in _GRID_OPTIONS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except CirculantEmbeddingError as exc:

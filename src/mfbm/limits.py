@@ -299,6 +299,8 @@ def simulate_partial_sums(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if replicates < 1:
+        raise ValueError("replicates must be a positive integer")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any((taus < 0.0) | (taus > 1.0)):
         raise ValueError("every tau must lie in [0, 1]")

@@ -118,6 +118,43 @@ def test_plan_records_doublings_and_eigenvalue_margin():
     assert kept.min_rel_eigenvalue < -1e-4
 
 
+def _half_plan_bytes(m, p):
+    # float generator blocks, float eigenvalues, complex square roots
+    return (m // 2 + 1) * (8 * p * p + 8 * p + 16 * p * p)
+
+
+def test_plan_stores_only_the_half_grid(rng):
+    params = random_admissible(rng, 3)
+    plan = build_plan(params, SimulationConfig(n=20))
+    m, half = plan.m, plan.m // 2
+    stored = {k: v for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
+    assert set(stored) == {"c_half", "eigenvalues_half", "sqrt_blocks"}
+    assert all(a.shape[0] == half + 1 for a in stored.values())
+    assert sum(a.nbytes for a in stored.values()) == _half_plan_bytes(m, 3)
+    # the exact-wide benchmark plan: p=5, m=2^17
+    assert _half_plan_bytes(2**17, 5) == 41_943_680
+    assert plan.c_blocks.shape == plan.b_blocks.shape == (m, 3, 3)
+    assert plan.eigenvalues.shape == (m, 3)
+    assert np.array_equal(plan.c_blocks[: half + 1], plan.c_half)
+    assert np.array_equal(plan.eigenvalues[: half + 1], plan.eigenvalues_half)
+    for name in ("c_blocks", "b_blocks", "eigenvalues"):
+        assert not getattr(plan, name).flags.writeable
+        with pytest.raises(AttributeError):
+            setattr(plan, name, None)
+
+
+def test_build_plan_rejects_asymmetric_fold_at_minimal_order():
+    # at m = 2(n-1) the lag-8 block would be folded onto its transpose,
+    # zeroing its cross entries (+-0.0125) while the plan claimed exactness
+    params = make_params([0.3, 0.7], rho01=0.3, eta01=0.2)
+    for policy in ("fail", "grow", "truncate"):
+        with pytest.raises(ValueError, match="smallest lossless order is m=32"):
+            build_plan(params, SimulationConfig(n=9, m=16, eig_policy=policy))
+    plan = build_plan(params, SimulationConfig(n=9, m=32, eig_policy="fail"))
+    assert plan.exact
+    assert np.array_equal(plan.c_blocks[8], lag_block_array(params, [8])[0])
+
+
 def _reference_paths(plan, config, integrate):
     """simulate rebuilt from its definition: the same Philox draws as a
     full Hermitian vector, full-length square roots of b_blocks, and the

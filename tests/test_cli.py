@@ -227,6 +227,15 @@ def test_simulate_manifest_records_embedding_growth(tmp_path):
     assert manifest["wall_time_seconds"] > 0.0
 
 
+def test_simulate_rejects_lossy_minimal_order(params_file, tmp_path, capsys):
+    # the fixture pair has eta01 != 0, so m = 2(n-1) = 16 would fold away
+    # the asymmetry of the lag-8 block
+    argv = ["simulate", "--params", params_file, "--n", "9", "--out", str(tmp_path / "x")]
+    assert main(argv + ["--m", "16"]) == 2
+    assert "m=32" in capsys.readouterr().err
+    assert main(argv + ["--m", "32"]) == 0
+
+
 def test_simulate_integrated_paths_verify(params_file, tmp_path):
     out_dir = tmp_path / "walks"
     rc = main(
@@ -368,6 +377,34 @@ def test_limits_subcommand(kernels_file, tmp_path):
     assert float(rows[0]["target_cov"]) == pytest.approx(
         20.972324296796103, rel=1e-10
     )
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_limits_rejects_nonpositive_replicates(kernels_file, capsys, count):
+    argv = ["limits", "--kernels", kernels_file, "--n-grid", "8", "--replicates", count]
+    assert main(argv) == 2
+    assert "replicates must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option, grid",
+    [
+        ("covariance", "--lags", "-2,2"),
+        ("covariance", "--lags", "-2:2:5"),
+        ("spectrum", "--omegas", "-3:3:4"),
+        ("check", "--max-corr-grid", "0.1:0.9:3"),
+        ("limits", "--taus", "0.5,1"),
+        ("limits", "--n-grid", "8,16"),
+    ],
+)
+def test_grid_options_take_both_forms(params_file, kernels_file, tmp_path, command, option, grid):
+    source = ["--kernels", kernels_file] if command == "limits" else ["--params", params_file]
+    extra = ["--replicates", "5"] if command == "limits" else []
+    spaced, attached = tmp_path / "spaced.csv", tmp_path / "attached.csv"
+    assert main([command, *source, *extra, option, grid, "--out", str(spaced)]) == 0
+    assert main([command, *source, *extra, f"{option}={grid}", "--out", str(attached)]) == 0
+    assert spaced.read_bytes() == attached.read_bytes()
+    assert len(read_csv(spaced)) > 0
 
 
 def test_limits_matches_per_cell_reference(tmp_path):

@@ -250,6 +250,8 @@ def test_partial_sums_validation():
         simulate_partial_sums(spec, n=8, taus=[1.0], noise="cauchy")
     with pytest.raises(ValueError):
         simulate_partial_sums(spec, n=8, taus=[1.0], truncation=4)
+    with pytest.raises(ValueError, match="replicates must be a positive integer"):
+        simulate_partial_sums(spec, n=8, taus=[1.0], replicates=0)
 
 
 def test_partial_sums_reproducible():
