@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 
-import numpy as np
-
-from mfbm import limit_target, mfbm_covariance, simulate_partial_sums
+from mfbm import limit_target, mfbm_covariance, replicate_mean_stderr, simulate_partial_sums
 from mfbm.limits import KernelRegime, KernelSide, KernelSpec, load_kernel_spec
 
 
@@ -47,9 +45,7 @@ def main() -> None:
         )
         for i in range(spec.p):
             want = mfbm_covariance(target.params, i, i, args.tau, args.tau)
-            prod = out[:, 0, i] ** 2
-            got = float(prod.mean())
-            se = float(prod.std(ddof=1) / np.sqrt(args.replicates))
+            got, se = map(float, replicate_mean_stderr(out[:, 0, i] ** 2))
             rows.append([n, i, got, want, se, abs(got / want - 1.0)])
             print(
                 f"n={n} component {i}: variance {got:.4f} "

@@ -33,14 +33,9 @@ from .existence import (
 )
 from .limits import limit_target, load_kernel_spec, simulate_partial_sums
 from .params import MfbmParams, load_params, params_to_dict, validate
-from .representations import (
-    CovarianceExistenceError,
-    ma_from_spectral,
-    spectral_factor,
-    spectral_factor_p2,
-)
+from .representations import ma_from_spectral, spectral_factor, spectral_factor_p2
 from .spectral import coherence, cross_spectral_density
-from .stats import compare_report
+from .stats import compare_report, replicate_mean_stderr
 
 __all__ = ["main", "build_parser"]
 
@@ -53,7 +48,11 @@ def _fmt(x) -> str:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Grid argument: 'start:stop:count' or a comma separated list."""
+    """Grid argument: 'start:stop:count' or a comma separated list.
+
+    A grid with no values is refused: every command would otherwise
+    report on nothing and succeed.
+    """
     text = text.strip()
     if ":" in text:
         fields = text.split(":")
@@ -63,7 +62,10 @@ def _parse_grid(text: str) -> np.ndarray:
         if count < 1:
             raise ValueError("grid count must be positive")
         return np.linspace(start, stop, count)
-    return np.array([float(f) for f in text.split(",") if f.strip() != ""])
+    values = np.array([float(f) for f in text.split(",") if f.strip() != ""])
+    if values.size == 0:
+        raise ValueError(f"grid {text!r} holds no values")
+    return values
 
 
 def _parse_int_grid(text: str) -> list[int]:
@@ -265,6 +267,7 @@ def _cmd_verify(args) -> int:
     it is present; without one, a t column starting at 0 means integrated.
     """
     params = _load_valid_params(args.params)
+    lags = _parse_int_grid(args.lags)
     root = Path(args.paths)
     manifest_integrate = None
     if (root / "manifest.json").is_file():
@@ -300,7 +303,6 @@ def _cmd_verify(args) -> int:
     values = np.stack(ensembles)
     if integrated_flags.pop():
         values = np.diff(values, axis=1)
-    lags = _parse_int_grid(args.lags)
     comparisons, summary = compare_report(values, params, lags, delta=args.delta)
     rows = [
         [
@@ -343,10 +345,7 @@ def _cmd_limits(args) -> int:
             replicates=args.replicates,
             noise=args.noise,
         )
-        r = vals.shape[0]
-        prod = vals[:, :, :, None] * vals[:, :, None, :]
-        emp = prod.mean(axis=0)
-        se = prod.std(axis=0, ddof=1) / np.sqrt(r) if r > 1 else np.zeros_like(emp)
+        emp, se = replicate_mean_stderr(vals[:, :, :, None] * vals[:, :, None, :])
         rows.extend(
             [n, _fmt(taus[t]), i, j, _fmt(e), _fmt(target[t, i, j]), _fmt(se[t, i, j])]
             for (t, i, j), e in np.ndenumerate(emp)
@@ -452,11 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _attach_grid_values(argv) -> list[str]:
     """Rewrite 'option value' as 'option=value' for every grid option, so
-    that a grid starting with '-' is not taken for an option."""
+    that a grid starting with '-' is not taken for an option. Abbreviated
+    grid option names, which argparse accepts, are rewritten too; the bare
+    '--' separator never is."""
     out = []
     rest = iter(argv)
     for arg in rest:
-        value = next(rest, None) if arg in _GRID_OPTIONS else None
+        grid = len(arg) > 2 and any(option.startswith(arg) for option in _GRID_OPTIONS)
+        value = next(rest, None) if grid else None
         out.append(arg if value is None else f"{arg}={value}")
     return out
 

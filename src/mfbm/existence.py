@@ -1,10 +1,12 @@
 """Admissibility of mfBm parameter sets.
 
-A parameter set defines a legitimate covariance exactly when a Hermitian
-matrix built from the Hurst exponents and the pair coefficients is
-positive semidefinite. For p = 2 the condition collapses to a coherence
-bound, which also yields closed admissible regions in the coefficient
-plane and the maximal attainable correlation between two components.
+A parameter set defines a legitimate covariance exactly when the
+Hermitian matrix of :func:`mfbm.spectral.admissibility_matrix` (built
+from the Hurst exponents and the pair coefficients; also importable from
+here) is positive semidefinite. For p = 2 the condition collapses to a
+coherence bound, which also yields closed admissible regions in the
+coefficient plane and the maximal attainable correlation between two
+components.
 """
 from __future__ import annotations
 
@@ -14,12 +16,11 @@ from enum import Enum
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .params import MfbmParams, PairKind, validate
-from .spectral import coherence, spectral_coeff
+from .params import MfbmParams, validate
+from .spectral import admissibility_matrix, coherence
 
 __all__ = [
     "SpecialCase",
-    "admissibility_matrix",
     "AdmissibilityReport",
     "check_admissibility",
     "max_correlation",
@@ -33,23 +34,6 @@ class SpecialCase(Enum):
 
     CAUSAL = "causal"
     WELL_BALANCED = "well_balanced"
-
-
-def admissibility_matrix(params: MfbmParams) -> np.ndarray:
-    """Hermitian matrix whose positive semidefiniteness decides existence.
-
-    Entry (i, j) is Gamma(H_i+H_j+1) times the positive-frequency spectral
-    coefficient of the pair. Scales sigma do not enter. Hermitian holds
-    exactly: swapping indices conjugates the coefficient bitwise.
-    """
-    p = params.p
-    q = np.empty((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(p):
-            q[i, j] = gamma_fn(params.hurst_sum(i, j) + 1.0) * spectral_coeff(
-                params, i, j, 1
-            )
-    return q
 
 
 @dataclass(frozen=True)
@@ -176,8 +160,10 @@ def admissible_boundary(
 
     Returns an (n_points, 2) array tracing the closed boundary of the
     admissible region for a bivariate process with exponents (h1, h2);
-    the first and last rows coincide. Each point is located by bisection
-    along a ray from the origin, where coherence grows quadratically.
+    the first and last rows coincide. The cross entry of the
+    admissibility matrix is linear in (rho, eta'), so the coherence grows
+    as r^2 along a ray from the origin: the ray through the unit direction
+    (u, v) meets the boundary at r = 1 / sqrt(C(u, v)).
     """
     if n_points < 2:
         raise ValueError("need at least 2 points to trace a closed curve")
@@ -185,23 +171,7 @@ def admissible_boundary(
     out = np.empty((n_points, 2))
     for k, theta in enumerate(thetas):
         u, v = np.cos(theta), np.sin(theta)
-        coh = lambda r: pair_coherence_at(h1, h2, r * u, r * v, one_tol)
-        lo, hi = 0.0, 1.0
-        doublings = 0
-        while coh(hi) < 1.0:
-            lo, hi = hi, 2.0 * hi
-            doublings += 1
-            if doublings > 200:
-                raise ValueError(
-                    f"no admissibility boundary along direction theta={theta}"
-                )
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if coh(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        r = 0.5 * (lo + hi)
+        r = 1.0 / np.sqrt(pair_coherence_at(h1, h2, u, v, one_tol))
         out[k] = (r * u, r * v)
     out[-1] = out[0]  # same ray at theta = 0 and 2 pi; close the curve exactly
     return out

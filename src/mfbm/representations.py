@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .existence import SpecialCase, _ridged_cholesky, admissibility_matrix, check_admissibility
+from .existence import SpecialCase, _ridged_cholesky, check_admissibility
 from .params import MfbmParams, PairKind
-from .spectral import coherence
+from .spectral import admissibility_matrix, coherence
 
 __all__ = [
     "CovarianceExistenceError",
@@ -70,10 +70,6 @@ class MovingAveragePair:
         self.m_minus.setflags(write=False)
 
 
-def _beta_fn(a: float, b: float) -> float:
-    return gamma_fn(a) * gamma_fn(b) / gamma_fn(a + b)
-
-
 def gram_target(params: MfbmParams) -> np.ndarray:
     """Hermitian PSD matrix that any valid spectral factor must reproduce.
 
@@ -113,12 +109,13 @@ def spectral_factor(params: MfbmParams, psd_tol: float = 1e-10) -> SpectralFacto
 
 
 def spectral_factor_p2(params: MfbmParams) -> SpectralFactor:
-    """Closed-form spectral factor for p = 2.
+    """Closed-form spectral factor for p = 2, read off the Gram target G.
 
-    Every entry carries the pair coherence through r = sqrt((1-C)/C);
-    C is 1 on the diagonal, making diagonal entries real. For a pair
-    with vanishing cross coefficients (C = 0) the factor is diagonal and
-    each diagonal entry carries the full component variance.
+    With C the pair coherence and r = sqrt((1-C)/C), the off-diagonal
+    entries are G_ij (1 + i r) / sqrt(2 G_jj) and the diagonal ones
+    sqrt(G_ii / 2). For a pair with vanishing cross coefficients (C = 0)
+    the factor is diagonal, sqrt(G_ii), each entry carrying the full
+    component variance.
     """
     if params.p != 2:
         raise ValueError("closed-form factor is specific to p = 2")
@@ -127,35 +124,13 @@ def spectral_factor_p2(params: MfbmParams) -> SpectralFactor:
         raise CovarianceExistenceError(
             f"pair coherence {c:.6f} exceeds 1; no valid covariance exists"
         )
-    H, sigma = params.H, params.sigma
-    a_mat = np.zeros((2, 2), dtype=complex)
+    target = gram_target(params)
+    diag = np.real(np.diag(target))
     if c == 0.0:
-        for i in range(2):
-            a_mat[i, i] = sigma[i] * np.sqrt(
-                gamma_fn(2.0 * H[i] + 1.0) * np.sin(np.pi * H[i]) / (2.0 * np.pi)
-            )
-        return SpectralFactor(matrix=a_mat)
+        return SpectralFactor(matrix=np.diag(np.sqrt(diag)).astype(complex))
     r = np.sqrt(max(1.0 - c, 0.0) / c)
-    for i in range(2):
-        for j in range(2):
-            alpha = params.hurst_sum(i, j)
-            lam = (
-                sigma[i]
-                / (2.0 * np.sqrt(np.pi))
-                * gamma_fn(alpha + 1.0)
-                / np.sqrt(gamma_fn(2.0 * H[j] + 1.0) * np.sin(np.pi * H[j]))
-            )
-            if i == j:
-                a_mat[i, j] = lam * np.sin(np.pi * H[i])
-                continue
-            rho = params.rho[i, j]
-            if params.pair_kind(i, j) is PairKind.UNIT_SUM:
-                s = 1.0
-                cterm = 0.5 * np.pi * params.eta[i, j]
-            else:
-                s = np.sin(0.5 * np.pi * alpha)
-                cterm = params.eta[i, j] * np.cos(0.5 * np.pi * alpha)
-            a_mat[i, j] = lam * complex(rho * s + r * cterm, rho * r * s - cterm)
+    a_mat = target * (1.0 + 1j * r) / np.sqrt(2.0 * diag)[None, :]
+    np.fill_diagonal(a_mat, np.sqrt(0.5 * diag))
     return SpectralFactor(matrix=a_mat)
 
 
@@ -192,95 +167,56 @@ def ma_from_spectral(a, H) -> MovingAveragePair:
     )
 
 
+def _factor_from_ma(ma: MovingAveragePair, H: np.ndarray) -> np.ndarray:
+    # The change of basis of the module docstring, defined at every H.
+    phases = _row_phases(H)[:, None]
+    msum, mdiff = ma.m_plus + ma.m_minus, ma.m_plus - ma.m_minus
+    rows = np.cos(phases) * msum + 1j * np.sin(phases) * mdiff
+    return gamma_fn(H + 0.5)[:, None] * rows / np.sqrt(2.0 * np.pi)
+
+
 def spectral_from_ma(ma: MovingAveragePair, H) -> SpectralFactor:
     """Inverse of :func:`ma_from_spectral`; same H = 1/2 exclusion."""
     H = np.atleast_1d(np.asarray(H, dtype=float))
     _check_half_exponents(H)
-    phases = _row_phases(H)
-    gammas = gamma_fn(H + 0.5)
-    msum = ma.m_plus + ma.m_minus
-    mdiff = ma.m_plus - ma.m_minus
-    a_mat = (
-        gammas[:, None]
-        * (
-            np.cos(phases)[:, None] * msum
-            + 1j * np.sin(phases)[:, None] * mdiff
-        )
-        / np.sqrt(2.0 * np.pi)
-    )
-    return SpectralFactor(matrix=a_mat)
+    return SpectralFactor(matrix=_factor_from_ma(ma, H))
 
 
 def params_from_ma(ma: MovingAveragePair, H, one_tol: float = 1e-9) -> MfbmParams:
     """Covariance coefficients of the process driven by (M+, M-).
 
-    Gram products of the kernel weights determine sigma, rho and eta in
-    closed form through Beta-function factors. Rows whose weights carry
-    no variance are rejected.
+    Inverts the Gram target A A* of the factor A the weights map to:
+    Q = 2 pi A A* / Gamma(H_i+H_j+1) holds sigma_i sigma_j times the
+    positive-frequency spectral coefficient of each pair, so
+    sigma_i^2 = Q_ii / sin(pi H_i) and the pair coefficients follow from
+    Q_ij / (sigma_i sigma_j) by undoing :func:`mfbm.spectral.spectral_coeff`.
+    Unlike the factor maps, H = 1/2 is accepted here. Rows whose weights
+    carry no variance are rejected.
     """
     H = np.atleast_1d(np.asarray(H, dtype=float))
+    a_mat = _factor_from_ma(ma, H)
+    q = 2.0 * np.pi * (a_mat @ a_mat.conj().T) / gamma_fn(np.add.outer(H, H) + 1.0)
+    var = q.real.diagonal() / np.sin(np.pi * H)
+    bad = np.flatnonzero(~(var > 0.0))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} of the kernel weights carries no variance")
+    sigma = np.sqrt(var)
+    # undo spectral_coeff, coeff = rho s - i eta t, on each pair i < j and
+    # mirror it, so that rho is symmetric and eta antisymmetric bitwise
     p = H.shape[0]
-    mp, mm = ma.m_plus, ma.m_minus
-    app = mp @ mp.T
-    amm = mm @ mm.T
-    apm = mp @ mm.T
-    amp = apm.T
-
-    sigma = np.empty(p)
-    for i in range(p):
-        var = (
-            _beta_fn(H[i] + 0.5, H[i] + 0.5)
-            / np.sin(np.pi * H[i])
-            * (app[i, i] + amm[i, i] - 2.0 * np.sin(np.pi * H[i]) * apm[i, i])
-        )
-        if not var > 0.0:
-            raise ValueError(f"row {i} of the kernel weights carries no variance")
-        sigma[i] = np.sqrt(var)
-
     rho = np.eye(p)
     eta = np.zeros((p, p))
     for i in range(p):
         for j in range(i + 1, p):
-            alpha = float(H[i] + H[j])
-            beta = _beta_fn(H[i] + 0.5, H[j] + 0.5)
-            ss = sigma[i] * sigma[j]
+            coeff = q[i, j] / (sigma[i] * sigma[j])
+            alpha = H[i] + H[j]
             if abs(alpha - 1.0) <= one_tol:
-                rho_ij = (
-                    beta
-                    * (
-                        0.5
-                        * (np.sin(np.pi * H[i]) + np.sin(np.pi * H[j]))
-                        * (app[i, j] + amm[i, j])
-                        - apm[i, j]
-                        - amp[i, j]
-                    )
-                    / ss
-                )
-                eta_ij = (H[j] - H[i]) * (app[i, j] - amm[i, j]) / ss
+                s, t = 1.0, 0.5 * np.pi
             else:
-                sin_sum = np.sin(np.pi * alpha)
-                pref = beta / sin_sum
-                rho_ij = (
-                    pref
-                    * (
-                        (app[i, j] + amm[i, j])
-                        * (np.cos(np.pi * H[i]) + np.cos(np.pi * H[j]))
-                        - (apm[i, j] + amp[i, j]) * sin_sum
-                    )
-                    / ss
-                )
-                eta_ij = (
-                    pref
-                    * (
-                        (app[i, j] - amm[i, j])
-                        * (np.cos(np.pi * H[i]) - np.cos(np.pi * H[j]))
-                        - (apm[i, j] - amp[i, j]) * sin_sum
-                    )
-                    / ss
-                )
-            rho[i, j] = rho[j, i] = rho_ij
-            eta[i, j] = eta_ij
-            eta[j, i] = -eta_ij
+                s, t = np.sin(0.5 * np.pi * alpha), np.cos(0.5 * np.pi * alpha)
+            rho[i, j] = rho[j, i] = coeff.real / s
+            eta[i, j] = -coeff.imag / t
+            eta[j, i] = -eta[i, j]
     return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta, one_tol=one_tol)
 
 

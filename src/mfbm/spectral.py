@@ -4,6 +4,12 @@ Fourier convention: S(omega) = (1/2pi) Integral e^{-i h omega} gamma(h) dh.
 The increment spectrum factorizes into a real power-law envelope and a
 frequency-sign-dependent complex coefficient, so coherence between two
 components is constant in frequency.
+
+One Hermitian matrix carries the spectral convention: entry (i, j) of
+:func:`admissibility_matrix` is q_ij = Gamma(H_i+H_j+1) times the
+positive-frequency coefficient of the pair. The density, the
+low-frequency modulus and the coherence are all read off its entries;
+the negative half-line carries the conjugate.
 """
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ from .params import MfbmParams, PairKind
 
 __all__ = [
     "spectral_coeff",
+    "admissibility_matrix",
     "cross_spectral_density",
     "low_frequency_modulus",
     "coherence",
@@ -37,9 +44,29 @@ def spectral_coeff(params: MfbmParams, i: int, j: int, sign_omega: int) -> compl
     return complex(rho * np.sin(half_alpha), -eta * sign_omega * np.cos(half_alpha))
 
 
-def _coeff_sq_modulus(params: MfbmParams, i: int, j: int) -> float:
-    # |spectral_coeff|^2, independent of the frequency sign.
-    return abs(spectral_coeff(params, i, j, 1)) ** 2
+def _q(params: MfbmParams, i: int, j: int) -> complex:
+    # Entry (i, j) of the admissibility matrix.
+    return gamma_fn(params.hurst_sum(i, j) + 1.0) * spectral_coeff(params, i, j, 1)
+
+
+def admissibility_matrix(params: MfbmParams) -> np.ndarray:
+    """Hermitian matrix whose positive semidefiniteness decides existence.
+
+    Entry (i, j) is Gamma(H_i+H_j+1) times the positive-frequency spectral
+    coefficient of the pair. Scales sigma do not enter. Hermitian holds
+    exactly: swapping indices conjugates the coefficient bitwise.
+    """
+    p = params.p
+    return np.array([[_q(params, i, j) for j in range(p)] for i in range(p)], dtype=complex)
+
+
+def _omega_array(omega, delta: float) -> np.ndarray:
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega == 0.0):
+        raise ValueError("omega = 0 is outside the domain of the density")
+    return omega
 
 
 def cross_spectral_density(
@@ -47,25 +74,19 @@ def cross_spectral_density(
 ):
     """S_{i,j}(omega, delta), vectorized over omega. Rejects omega = 0.
 
-    The value at 0 is a pole when H_i + H_j > 1 and is excluded uniformly
-    rather than special-cased by branch.
+    (sigma_i sigma_j / pi) q_ij (1 - cos omega delta) / |omega|^(a+1) for
+    omega > 0, with conj(q_ij) for omega < 0. The value at 0 is a pole
+    when H_i + H_j > 1 and is excluded uniformly rather than special-cased
+    by branch.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega == 0.0):
-        raise ValueError("omega = 0 is outside the domain of the density")
-    alpha = params.hurst_sum(i, j)
-    envelope = (
+    omega = _omega_array(omega, delta)
+    q = _q(params, i, j)
+    out = (
         (params.sigma[i] * params.sigma[j] / np.pi)
-        * gamma_fn(alpha + 1.0)
+        * np.where(omega > 0.0, q, q.conjugate())
         * (1.0 - np.cos(omega * delta))
-        / np.abs(omega) ** (alpha + 1.0)
+        / np.abs(omega) ** (params.hurst_sum(i, j) + 1.0)
     )
-    pos = spectral_coeff(params, i, j, 1)
-    neg = spectral_coeff(params, i, j, -1)
-    coeff = np.where(omega > 0.0, pos, neg)
-    out = envelope * coeff
     return out if out.ndim else complex(out)
 
 
@@ -74,20 +95,14 @@ def low_frequency_modulus(
 ):
     """Leading modulus of S_{i,j} as omega -> 0, vectorized over omega.
 
-    (sigma_i sigma_j / 2pi) Gamma(a+1) delta^2 |coeff| |omega|^(1-a).
+    (sigma_i sigma_j / 2pi) |q_ij| delta^2 |omega|^(1-a).
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega == 0.0):
-        raise ValueError("omega = 0 is outside the domain of the density")
-    alpha = params.hurst_sum(i, j)
+    omega = _omega_array(omega, delta)
     out = (
         (params.sigma[i] * params.sigma[j] / (2.0 * np.pi))
-        * gamma_fn(alpha + 1.0)
+        * abs(_q(params, i, j))
         * delta**2
-        * np.sqrt(_coeff_sq_modulus(params, i, j))
-        * np.abs(omega) ** (1.0 - alpha)
+        * np.abs(omega) ** (1.0 - params.hurst_sum(i, j))
     )
     return out if out.ndim else float(out)
 
@@ -95,20 +110,10 @@ def low_frequency_modulus(
 def coherence(params: MfbmParams, i: int, j: int) -> float:
     """Squared coherence of the increment pair (i, j), constant in omega.
 
-    Gamma(a+1)^2 |coeff|^2 over Gamma(2H_i+1) Gamma(2H_j+1)
-    sin(pi H_i) sin(pi H_j). Lies in [0, 1] exactly when the pair block
+    |q_ij|^2 / (q_ii q_jj). Lies in [0, 1] exactly when the pair block
     admits a valid process.
     """
     if i == j:
         raise ValueError("coherence of a component with itself is trivially 1")
-    hi = float(params.H[i])
-    hj = float(params.H[j])
-    alpha = hi + hj
-    num = gamma_fn(alpha + 1.0) ** 2 * _coeff_sq_modulus(params, i, j)
-    den = (
-        gamma_fn(2.0 * hi + 1.0)
-        * gamma_fn(2.0 * hj + 1.0)
-        * np.sin(np.pi * hi)
-        * np.sin(np.pi * hj)
-    )
-    return float(num / den)
+    q_ii, q_jj = _q(params, i, i).real, _q(params, j, j).real
+    return float(abs(_q(params, i, j)) ** 2 / (q_ii * q_jj))

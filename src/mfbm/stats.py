@@ -23,6 +23,7 @@ __all__ = [
     "CovComparison",
     "ReportSummary",
     "ensemble_from_paths",
+    "replicate_mean_stderr",
     "empirical_cross_cov",
     "compare_report",
 ]
@@ -83,6 +84,20 @@ def ensemble_from_paths(paths: Iterable[SamplePath]) -> np.ndarray:
     return out
 
 
+def replicate_mean_stderr(values) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over replicates (axis 0) and its standard error.
+
+    The standard error is the sample standard deviation (ddof=1) over
+    sqrt(R). A single replicate shows no spread, so its error is 0.
+    """
+    values = np.asarray(values)
+    r_count = values.shape[0]
+    mean = values.mean(axis=0)
+    if r_count == 1:
+        return mean, np.zeros_like(mean)
+    return mean, values.std(axis=0, ddof=1) / np.sqrt(r_count)
+
+
 def _lag_estimates(values: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Lag-h estimates and replicate stderrs of all pairs, each (p, p).
 
@@ -103,9 +118,9 @@ def _lag_estimates(values: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
         lead, lag = values[:, : n - h], values[:, h:]
     else:
         lead, lag = values[:, -h :], values[:, : n + h]
-    per_replicate = np.matmul(lead.transpose(0, 2, 1), lag) / (n - abs(h))
-    stderr = per_replicate.std(axis=0, ddof=1) / np.sqrt(r_count)
-    return per_replicate.mean(axis=0), stderr
+    return replicate_mean_stderr(
+        np.matmul(lead.transpose(0, 2, 1), lag) / (n - abs(h))
+    )
 
 
 def empirical_cross_cov(

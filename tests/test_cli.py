@@ -23,7 +23,7 @@ from mfbm import (
     simulate,
     simulate_partial_sums,
 )
-from mfbm.cli import main
+from mfbm.cli import _attach_grid_values, main
 from conftest import make_params, random_admissible
 
 
@@ -392,19 +392,54 @@ def test_limits_rejects_nonpositive_replicates(kernels_file, capsys, count):
         ("covariance", "--lags", "-2,2"),
         ("covariance", "--lags", "-2:2:5"),
         ("spectrum", "--omegas", "-3:3:4"),
+        ("spectrum", "--omega", "-3:3:4"),
         ("check", "--max-corr-grid", "0.1:0.9:3"),
         ("limits", "--taus", "0.5,1"),
         ("limits", "--n-grid", "8,16"),
     ],
 )
 def test_grid_options_take_both_forms(params_file, kernels_file, tmp_path, command, option, grid):
+    # the spaced form may abbreviate the option; the attached one spells it out
+    full = {"--omega": "--omegas"}.get(option, option)
     source = ["--kernels", kernels_file] if command == "limits" else ["--params", params_file]
     extra = ["--replicates", "5"] if command == "limits" else []
     spaced, attached = tmp_path / "spaced.csv", tmp_path / "attached.csv"
     assert main([command, *source, *extra, option, grid, "--out", str(spaced)]) == 0
-    assert main([command, *source, *extra, f"{option}={grid}", "--out", str(attached)]) == 0
+    assert main([command, *source, *extra, f"{full}={grid}", "--out", str(attached)]) == 0
     assert spaced.read_bytes() == attached.read_bytes()
     assert len(read_csv(spaced)) > 0
+
+
+def test_attach_grid_values_keeps_separator():
+    argv = ["spectrum", "--omegas", "-3:3:4", "--", "-1"]
+    assert _attach_grid_values(argv) == ["spectrum", "--omegas=-3:3:4", "--", "-1"]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("covariance", "--lags"),
+        ("spectrum", "--omegas"),
+        ("check", "--max-corr-grid"),
+        ("limits", "--taus"),
+        ("limits", "--n-grid"),
+        ("verify", "--lags"),
+    ],
+)
+@pytest.mark.parametrize("grid", ["", " , "])
+def test_grid_options_reject_empty_grid(
+    params_file, kernels_file, tmp_path, capsys, command, option, grid
+):
+    source = ["--kernels", kernels_file] if command == "limits" else ["--params", params_file]
+    if command == "verify":
+        paths = tmp_path / "paths"
+        argv = ["simulate", "--params", params_file, "--n", "8", "--replicates", "2"]
+        assert main([*argv, "--out", str(paths)]) == 0
+        source += ["--paths", str(paths)]
+    out = tmp_path / "out.csv"
+    assert main([command, *source, option, grid, "--out", str(out)]) == 2
+    assert "holds no values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_limits_matches_per_cell_reference(tmp_path):

@@ -4,7 +4,9 @@ from scipy.special import gamma as gamma_fn
 
 from mfbm import (
     CovarianceExistenceError,
+    MfbmParams,
     MovingAveragePair,
+    check_admissibility,
     SpecialCase,
     gram_target,
     ma_from_spectral,
@@ -139,6 +141,37 @@ def test_full_round_trip_unit_sum(rng):
         assert np.allclose(back.sigma, params.sigma, rtol=1e-10)
         assert np.allclose(back.rho, params.rho, rtol=0, atol=1e-10)
         assert np.allclose(back.eta, params.eta, rtol=0, atol=1e-10)
+
+
+def test_full_round_trip_p3_with_unit_sum_pair():
+    # pair (0, 1) is unit-sum, pairs (0, 2) and (1, 2) are generic
+    params = MfbmParams(
+        H=[0.3, 0.7, 0.85],
+        sigma=[1.0, 1.4, 0.7],
+        rho=[[1.0, 0.3, -0.2], [0.3, 1.0, 0.25], [-0.2, 0.25, 1.0]],
+        eta=[[0.0, 0.1, 0.05], [-0.1, 0.0, -0.08], [-0.05, 0.08, 0.0]],
+    )
+    assert check_admissibility(params).admissible
+    ma = ma_from_spectral(spectral_factor(params), params.H)
+    back = params_from_ma(ma, params.H, one_tol=params.one_tol)
+    assert np.allclose(back.sigma, params.sigma, rtol=1e-9)
+    assert np.allclose(back.rho, params.rho, rtol=0, atol=1e-9)
+    assert np.allclose(back.eta, params.eta, rtol=0, atol=1e-9)
+
+
+def test_params_from_ma_brownian_weights():
+    # at H = 1/2 only the difference of the weights drives the process
+    m_plus = np.array([[1.0, 0.3], [0.2, 0.8]])
+    m_minus = np.array([[0.1, 0.4], [0.5, 0.2]])
+    params = params_from_ma(MovingAveragePair(m_plus=m_plus, m_minus=m_minus), [0.5, 0.5])
+    diff = m_plus - m_minus
+    cov = diff @ diff.T
+    assert np.allclose(params.sigma**2, np.sum(diff**2, axis=1), rtol=1e-13)
+    assert params.rho[0, 1] == pytest.approx(
+        cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1]), rel=1e-13
+    )
+    # cos(pi/2) is not 0 in floating point, so eta is tiny rather than exactly 0
+    assert np.allclose(params.eta, 0.0, rtol=0, atol=1e-15)
 
 
 def test_well_balanced_ties_moving_averages(rng):

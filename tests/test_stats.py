@@ -9,6 +9,7 @@ from mfbm import (
     dense_oracle_simulate,
     empirical_cross_cov,
     ensemble_from_paths,
+    replicate_mean_stderr,
     simulate,
 )
 from conftest import make_params
@@ -166,3 +167,17 @@ def test_ensemble_from_paths_rejects_empty_and_ragged():
         ensemble_from_paths(
             [SamplePath(values=np.zeros(4), replicate=0, meta={})]
         )
+
+
+def test_replicate_mean_stderr_matches_definition():
+    values = iid_ensemble(reps=7, n=3)
+    mean, stderr = replicate_mean_stderr(values)
+    assert np.array_equal(mean, values.mean(axis=0))
+    assert np.array_equal(stderr, values.std(axis=0, ddof=1) / np.sqrt(7))
+
+
+def test_replicate_mean_stderr_single_replicate_has_zero_error():
+    values = iid_ensemble(reps=1, n=3)
+    mean, stderr = replicate_mean_stderr(values)
+    assert np.array_equal(mean, values[0])
+    assert np.array_equal(stderr, np.zeros((3, 2)))
