@@ -50,21 +50,31 @@ def _fmt(x) -> str:
 def _parse_grid(text: str) -> np.ndarray:
     """Grid argument: 'start:stop:count' or a comma separated list.
 
-    A grid with no values is refused: every command would otherwise
-    report on nothing and succeed.
+    A grid with no values, or with a NaN or infinite one, is refused:
+    every command would otherwise report on nothing, or write NaN rows,
+    and succeed.
     """
     text = text.strip()
-    if ":" in text:
+    ranged = ":" in text
+    if ranged:
         fields = text.split(":")
         if len(fields) != 3:
             raise ValueError(f"grid {text!r} must look like start:stop:count")
-        start, stop, count = float(fields[0]), float(fields[1]), int(fields[2])
+        count = int(fields.pop())
         if count < 1:
             raise ValueError("grid count must be positive")
-        return np.linspace(start, stop, count)
-    values = np.array([float(f) for f in text.split(",") if f.strip() != ""])
+    else:
+        fields = [f for f in text.split(",") if f.strip() != ""]
+    values = np.array([float(f) for f in fields])
+    if ranged:
+        # non-finite ends, or finite ones whose span overflows, are
+        # refused below, from the grid they make
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.linspace(*values, count)
     if values.size == 0:
         raise ValueError(f"grid {text!r} holds no values")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"grid {text!r} holds a non-finite value")
     return values
 
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .params import MfbmParams, validate
-from .spectral import admissibility_matrix, coherence
+from .spectral import _gamma, admissibility_matrix, coherence
 
 __all__ = [
     "SpecialCase",
@@ -61,8 +60,8 @@ def check_admissibility(params: MfbmParams, psd_tol: float = 1e-10) -> Admissibi
     the margin is visible in the report. Structurally invalid parameters
     (see params.validate) raise ValueError instead of yielding a report.
     """
-    if psd_tol < 0.0:
-        raise ValueError("psd_tol must be nonnegative")
+    if not 0.0 <= psd_tol < np.inf:
+        raise ValueError(f"psd_tol must be finite and nonnegative, got {psd_tol}")
     report = validate(params)
     if not report.ok:
         raise ValueError(f"invalid parameters: {report}")
@@ -111,9 +110,9 @@ def max_correlation(h1: float, h2: float, case: SpecialCase) -> float:
             raise ValueError(f"Hurst exponent {h} outside (0, 1)")
     alpha = h1 + h2
     rho_sq = (
-        gamma_fn(2.0 * h1 + 1.0)
-        * gamma_fn(2.0 * h2 + 1.0)
-        / gamma_fn(alpha + 1.0) ** 2
+        _gamma(2.0 * h1 + 1.0)
+        * _gamma(2.0 * h2 + 1.0)
+        / _gamma(alpha + 1.0) ** 2
         * np.sin(np.pi * h1)
         * np.sin(np.pi * h2)
         / np.sin(np.pi * alpha / 2.0) ** 2

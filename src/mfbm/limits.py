@@ -21,7 +21,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve  # noqa: F401 (perfbench/tracing.py wraps it)
 
 from .circulant import _replicate_rng
 from .params import MfbmParams
@@ -37,6 +36,15 @@ __all__ = [
     "limit_target",
     "simulate_partial_sums",
 ]
+
+
+# Nothing here convolves any more, but perfbench/tracing.py still wraps
+# this name, so it stays bound. A function rather than a module-level
+# import keeps scipy.signal (most of a cold import) out until a call.
+def fftconvolve(*args, **kwargs):
+    from scipy.signal import fftconvolve as convolve
+
+    return convolve(*args, **kwargs)
 
 
 class KernelRegime(str, Enum):

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .existence import SpecialCase, _ridged_cholesky, check_admissibility
 from .params import MfbmParams, PairKind
-from .spectral import admissibility_matrix, coherence
+from .spectral import _gamma, admissibility_matrix, coherence
 
 __all__ = [
     "CovarianceExistenceError",
@@ -156,7 +155,7 @@ def ma_from_spectral(a, H) -> MovingAveragePair:
     H = np.atleast_1d(np.asarray(H, dtype=float))
     _check_half_exponents(H)
     phases = _row_phases(H)
-    gammas = gamma_fn(H + 0.5)
+    gammas = _gamma(H + 0.5)
     d1_inv = 1.0 / (np.cos(phases) * gammas)
     d2_inv = 1.0 / (np.sin(phases) * gammas)
     term1 = d1_inv[:, None] * a_mat.real
@@ -172,7 +171,7 @@ def _factor_from_ma(ma: MovingAveragePair, H: np.ndarray) -> np.ndarray:
     phases = _row_phases(H)[:, None]
     msum, mdiff = ma.m_plus + ma.m_minus, ma.m_plus - ma.m_minus
     rows = np.cos(phases) * msum + 1j * np.sin(phases) * mdiff
-    return gamma_fn(H + 0.5)[:, None] * rows / np.sqrt(2.0 * np.pi)
+    return _gamma(H + 0.5)[:, None] * rows / np.sqrt(2.0 * np.pi)
 
 
 def spectral_from_ma(ma: MovingAveragePair, H) -> SpectralFactor:
@@ -195,7 +194,7 @@ def params_from_ma(ma: MovingAveragePair, H, one_tol: float = 1e-9) -> MfbmParam
     """
     H = np.atleast_1d(np.asarray(H, dtype=float))
     a_mat = _factor_from_ma(ma, H)
-    q = 2.0 * np.pi * (a_mat @ a_mat.conj().T) / gamma_fn(np.add.outer(H, H) + 1.0)
+    q = 2.0 * np.pi * (a_mat @ a_mat.conj().T) / _gamma(np.add.outer(H, H) + 1.0)
     var = q.real.diagonal() / np.sin(np.pi * H)
     bad = np.flatnonzero(~(var > 0.0))
     if bad.size:

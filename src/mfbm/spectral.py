@@ -13,8 +13,9 @@ the negative half-line carries the conjugate.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .params import MfbmParams, PairKind
 
@@ -25,6 +26,20 @@ __all__ = [
     "low_frequency_modulus",
     "coherence",
 ]
+
+
+def _gamma(x):
+    """Gamma function of real arguments away from its poles, elementwise.
+
+    Built on math.gamma, so the package needs no scipy: on (0.5, 3), the
+    range of every argument here, it agrees with scipy.special.gamma to
+    about 1e-15 relative. A 0-d input returns a float; an array keeps its
+    shape.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return math.gamma(float(x))
+    return np.fromiter(map(math.gamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def spectral_coeff(params: MfbmParams, i: int, j: int, sign_omega: int) -> complex:
@@ -46,7 +61,7 @@ def spectral_coeff(params: MfbmParams, i: int, j: int, sign_omega: int) -> compl
 
 def _q(params: MfbmParams, i: int, j: int) -> complex:
     # Entry (i, j) of the admissibility matrix.
-    return gamma_fn(params.hurst_sum(i, j) + 1.0) * spectral_coeff(params, i, j, 1)
+    return _gamma(params.hurst_sum(i, j) + 1.0) * spectral_coeff(params, i, j, 1)
 
 
 def admissibility_matrix(params: MfbmParams) -> np.ndarray:

@@ -120,6 +120,15 @@ def test_check_admissible_and_not(params_file, tmp_path, capsys):
     assert "admissible: False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-10"])
+def test_check_rejects_bad_psd_tol(tmp_path, capsys, tol):
+    # smallest eigenvalue -0.337: an infinite tolerance used to admit it
+    hot = tmp_path / "hot.json"
+    dump_params(make_params([0.1, 0.8], rho01=0.9), hot)
+    assert main(["check", "--params", str(hot), f"--psd-tol={tol}"]) == 2
+    assert "psd_tol must be finite and nonnegative" in capsys.readouterr().err
+
+
 def test_check_boundary_curve(params_file, tmp_path):
     out = tmp_path / "boundary.csv"
     rc = main(
@@ -415,30 +424,51 @@ def test_attach_grid_values_keeps_separator():
     assert _attach_grid_values(argv) == ["spectrum", "--omegas=-3:3:4", "--", "-1"]
 
 
-@pytest.mark.parametrize(
-    "command, option",
-    [
-        ("covariance", "--lags"),
-        ("spectrum", "--omegas"),
-        ("check", "--max-corr-grid"),
-        ("limits", "--taus"),
-        ("limits", "--n-grid"),
-        ("verify", "--lags"),
-    ],
-)
-@pytest.mark.parametrize("grid", ["", " , "])
-def test_grid_options_reject_empty_grid(
-    params_file, kernels_file, tmp_path, capsys, command, option, grid
-):
+GRID_COMMANDS = [
+    ("covariance", "--lags"),
+    ("spectrum", "--omegas"),
+    ("check", "--max-corr-grid"),
+    ("limits", "--taus"),
+    ("limits", "--n-grid"),
+    ("verify", "--lags"),
+]
+
+
+def grid_command_argv(command, params_file, kernels_file, tmp_path):
+    """The command and the input files it needs besides its grid option."""
     source = ["--kernels", kernels_file] if command == "limits" else ["--params", params_file]
     if command == "verify":
         paths = tmp_path / "paths"
         argv = ["simulate", "--params", params_file, "--n", "8", "--replicates", "2"]
         assert main([*argv, "--out", str(paths)]) == 0
         source += ["--paths", str(paths)]
+    return [command, *source]
+
+
+@pytest.mark.parametrize("command, option", GRID_COMMANDS)
+@pytest.mark.parametrize("grid", ["", " , "])
+def test_grid_options_reject_empty_grid(
+    params_file, kernels_file, tmp_path, capsys, command, option, grid
+):
+    argv = grid_command_argv(command, params_file, kernels_file, tmp_path)
     out = tmp_path / "out.csv"
-    assert main([command, *source, option, grid, "--out", str(out)]) == 2
+    assert main([*argv, option, grid, "--out", str(out)]) == 2
     assert "holds no values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", GRID_COMMANDS)
+@pytest.mark.parametrize(
+    "grid", ["nan", "1,inf", "-inf", "0:nan:3", "1:inf:2", "-1e308:1e308:3"]
+)
+def test_grid_options_reject_non_finite_values(
+    params_file, kernels_file, tmp_path, capsys, command, option, grid
+):
+    # NaN rows written with exit code 0 would pass for data
+    argv = grid_command_argv(command, params_file, kernels_file, tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([*argv, option, grid, "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
 

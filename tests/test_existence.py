@@ -55,8 +55,9 @@ def test_check_admissibility_threshold():
     report = check_admissibility(params, psd_tol=1e-10)
     q_scale = np.abs(admissibility_matrix(params)).max()
     assert report.threshold == pytest.approx(1e-10 * q_scale, rel=1e-12)
-    with pytest.raises(ValueError):
-        check_admissibility(params, psd_tol=-1.0)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="psd_tol must be finite and nonnegative"):
+            check_admissibility(params, psd_tol=bad)
 
 
 def test_check_admissibility_rejects_non_finite_entries():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn
 
 from mfbm import (
     coherence,
@@ -7,6 +8,7 @@ from mfbm import (
     low_frequency_modulus,
     spectral_coeff,
 )
+from mfbm.spectral import _gamma
 from conftest import make_params, random_admissible
 
 GENERIC = make_params([0.3, 0.6], rho01=0.4, eta01=0.1)
@@ -110,3 +112,15 @@ def test_coherence_below_one_for_admissible(rng):
     for _ in range(10):
         params = random_admissible(rng, 2)
         assert coherence(params, 0, 1) <= 1.0 + 1e-12
+
+
+def test_gamma_matches_scipy():
+    # every Gamma argument in the package lies in (0.5, 3)
+    x = np.linspace(0.5, 3.0, 2001)[1:]
+    np.testing.assert_allclose(_gamma(x), gamma_fn(x), rtol=2e-15, atol=0.0)
+    scalar = _gamma(np.float64(1.7))
+    assert type(scalar) is float and scalar == pytest.approx(gamma_fn(1.7), rel=2e-15)
+    assert type(_gamma(np.array(2.5))) is float
+    grid = x[:12].reshape(3, 4)
+    assert _gamma(grid).shape == (3, 4)
+    np.testing.assert_array_equal(_gamma(grid), _gamma(x[:12]).reshape(3, 4))
