@@ -97,6 +97,12 @@ def _ridged_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, floa
     raise np.linalg.LinAlgError("matrix stays indefinite after 64 ridge doublings")
 
 
+def _check_hurst_pair(h1: float, h2: float) -> None:
+    for h in (h1, h2):
+        if not 0.0 < h < 1.0:
+            raise ValueError(f"Hurst exponent {h} outside (0, 1)")
+
+
 def max_correlation(h1: float, h2: float, case: SpecialCase) -> float:
     """Largest symmetric coefficient admitting a bivariate process with
     Hurst exponents (h1, h2), under the given special case.
@@ -105,9 +111,7 @@ def max_correlation(h1: float, h2: float, case: SpecialCase) -> float:
     family loses a factor |cos(pi (h1-h2) / 2)|. Continuous through
     h1 + h2 = 1, where the half-sum sine is 1.
     """
-    for h in (h1, h2):
-        if not 0.0 < h < 1.0:
-            raise ValueError(f"Hurst exponent {h} outside (0, 1)")
+    _check_hurst_pair(h1, h2)
     alpha = h1 + h2
     rho_sq = (
         _gamma(2.0 * h1 + 1.0)
@@ -133,8 +137,9 @@ def pair_coherence_at(
 
     eta' is the branch-continuous antisymmetric coordinate: for generic
     pairs eta = eta' / (1 - h1 - h2); for unit-sum pairs eta' is the
-    coefficient itself.
+    coefficient itself. Both exponents must lie in (0, 1).
     """
+    _check_hurst_pair(h1, h2)
     if abs(h1 + h2 - 1.0) <= one_tol:
         eta = eta_prime
     else:
@@ -159,18 +164,18 @@ def admissible_boundary(
 
     Returns an (n_points, 2) array tracing the closed boundary of the
     admissible region for a bivariate process with exponents (h1, h2);
-    the first and last rows coincide. The cross entry of the
-    admissibility matrix is linear in (rho, eta'), so the coherence grows
-    as r^2 along a ray from the origin: the ray through the unit direction
-    (u, v) meets the boundary at r = 1 / sqrt(C(u, v)).
+    the first and last rows coincide. rho enters only the real part of the
+    cross entry Gamma(a+1) (rho s - i eta t) and eta' only its imaginary
+    part, so the ray through the unit direction (u, v) meets the boundary
+    at r = 1 / sqrt(C(1, 0) u^2 + C(0, 1) v^2), with C the coherence.
     """
     if n_points < 2:
         raise ValueError("need at least 2 points to trace a closed curve")
+    c_rho = pair_coherence_at(h1, h2, 1.0, 0.0, one_tol)
+    c_eta = pair_coherence_at(h1, h2, 0.0, 1.0, one_tol)
     thetas = 2.0 * np.pi * np.arange(n_points) / (n_points - 1)
-    out = np.empty((n_points, 2))
-    for k, theta in enumerate(thetas):
-        u, v = np.cos(theta), np.sin(theta)
-        r = 1.0 / np.sqrt(pair_coherence_at(h1, h2, u, v, one_tol))
-        out[k] = (r * u, r * v)
+    u, v = np.cos(thetas), np.sin(thetas)
+    r = 1.0 / np.sqrt(c_rho * u**2 + c_eta * v**2)
+    out = np.column_stack((r * u, r * v))
     out[-1] = out[0]  # same ray at theta = 0 and 2 pi; close the curve exactly
     return out

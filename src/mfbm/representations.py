@@ -14,13 +14,13 @@ is exactly the excluded exponent of the moving average form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .existence import SpecialCase, _ridged_cholesky, check_admissibility
-from .params import MfbmParams, PairKind
-from .spectral import _gamma, admissibility_matrix, coherence
+from .params import MfbmParams
+from .spectral import _gamma, _pair_weights, admissibility_matrix, coherence
 
 __all__ = [
     "CovarianceExistenceError",
@@ -186,36 +186,33 @@ def params_from_ma(ma: MovingAveragePair, H, one_tol: float = 1e-9) -> MfbmParam
 
     Inverts the Gram target A A* of the factor A the weights map to:
     Q = 2 pi A A* / Gamma(H_i+H_j+1) holds sigma_i sigma_j times the
-    positive-frequency spectral coefficient of each pair, so
-    sigma_i^2 = Q_ii / sin(pi H_i) and the pair coefficients follow from
-    Q_ij / (sigma_i sigma_j) by undoing :func:`mfbm.spectral.spectral_coeff`.
-    Unlike the factor maps, H = 1/2 is accepted here. Rows whose weights
-    carry no variance are rejected.
+    positive-frequency spectral coefficient rho s - i eta t of each pair,
+    so sigma_i^2 = Q_ii / sin(pi H_i), rho = Re(c) / s and eta = -Im(c) / t
+    with c = Q_ij / (sigma_i sigma_j) and (s, t) the pair weights of
+    :mod:`mfbm.spectral`. H needs one finite entry in (0, 1) per row of the
+    weights; unlike the factor maps, H = 1/2 is accepted here. Rows whose
+    weights carry no variance are rejected.
     """
     H = np.atleast_1d(np.asarray(H, dtype=float))
+    if H.shape != ma.m_plus.shape[:1] or not (H.min() > 0.0 and H.max() < 1.0):
+        raise ValueError(
+            f"H needs one exponent in (0, 1) per row of the {ma.m_plus.shape} "
+            f"weights; got H = {H.tolist()}"
+        )
     a_mat = _factor_from_ma(ma, H)
-    q = 2.0 * np.pi * (a_mat @ a_mat.conj().T) / _gamma(np.add.outer(H, H) + 1.0)
+    a, s, t = _pair_weights(H, one_tol)
+    q = 2.0 * np.pi * (a_mat @ a_mat.conj().T) / _gamma(a + 1.0)
     var = q.real.diagonal() / np.sin(np.pi * H)
     bad = np.flatnonzero(~(var > 0.0))
     if bad.size:
         raise ValueError(f"row {bad[0]} of the kernel weights carries no variance")
     sigma = np.sqrt(var)
-    # undo spectral_coeff, coeff = rho s - i eta t, on each pair i < j and
-    # mirror it, so that rho is symmetric and eta antisymmetric bitwise
-    p = H.shape[0]
-    rho = np.eye(p)
-    eta = np.zeros((p, p))
-    for i in range(p):
-        for j in range(i + 1, p):
-            coeff = q[i, j] / (sigma[i] * sigma[j])
-            alpha = H[i] + H[j]
-            if abs(alpha - 1.0) <= one_tol:
-                s, t = 1.0, 0.5 * np.pi
-            else:
-                s, t = np.sin(0.5 * np.pi * alpha), np.cos(0.5 * np.pi * alpha)
-            rho[i, j] = rho[j, i] = coeff.real / s
-            eta[i, j] = -coeff.imag / t
-            eta[j, i] = -eta[i, j]
+    c = q / np.outer(sigma, sigma)
+    rho, eta = c.real / s, -c.imag / t
+    # keep each pair i < j and mirror it: rho symmetric, eta antisymmetric
+    lower = np.tri(H.shape[0], k=-1, dtype=bool)
+    rho[lower], eta[lower] = rho.T[lower], -eta.T[lower]
+    rho.flat[:: H.shape[0] + 1], eta.flat[:: H.shape[0] + 1] = 1.0, 0.0
     return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta, one_tol=one_tol)
 
 
@@ -224,39 +221,23 @@ def special_case_eta(params: MfbmParams, case: SpecialCase) -> MfbmParams:
 
     The symmetric coefficients of params are kept; its eta entries are
     ignored and replaced. Well-balanced sets every eta to zero. Causal
-    ties eta to rho pairwise; for a unit-sum pair the tie involves
-    tan(pi H_i), rejected at H_i = 1/2 where the subfamily degenerates.
+    ties eta to rho pairwise through the phase of the spectral coefficient,
+    arg(rho s - i eta t) = (pi/2)(H_i - H_j), so
+    eta = -rho s tan(pi (H_i - H_j) / 2) / t; a unit-sum pair with
+    H_i = 1/2, where the subfamily degenerates, is rejected.
     """
-    p = params.p
-    eta = np.zeros((p, p))
+    eta = np.zeros_like(params.rho)
     if case is SpecialCase.CAUSAL:
-        for i in range(p):
-            for j in range(i + 1, p):
-                if params.pair_kind(i, j) is PairKind.UNIT_SUM:
-                    if abs(params.H[i] - 0.5) < 1e-9:
-                        raise ValueError(
-                            "causal tie is undefined for a unit-sum pair "
-                            "with H = 1/2"
-                        )
-                    val = (
-                        params.rho[i, j]
-                        * 2.0
-                        / (np.pi * np.tan(np.pi * params.H[i]))
-                    )
-                else:
-                    val = (
-                        -params.rho[i, j]
-                        * np.tan(0.5 * np.pi * params.hurst_sum(i, j))
-                        * np.tan(0.5 * np.pi * (params.H[i] - params.H[j]))
-                    )
-                eta[i, j] = val
-                eta[j, i] = -val
+        H = params.H
+        _, s, t = _pair_weights(H, params.one_tol)
+        unit = t == 0.5 * np.pi  # a generic t is a cosine, never pi/2
+        if np.any(np.triu(unit, 1) & (np.abs(H - 0.5) < 1e-9)[:, None]):
+            raise ValueError(
+                "causal tie is undefined for a unit-sum pair with H = 1/2"
+            )
+        tie = np.tan(0.5 * np.pi * np.subtract.outer(H, H))
+        eta = np.triu(-params.rho * s * tie / t, 1)
+        eta = eta - eta.T
     elif case is not SpecialCase.WELL_BALANCED:
         raise ValueError(f"unknown special case {case!r}")
-    return MfbmParams(
-        H=params.H,
-        sigma=params.sigma,
-        rho=params.rho,
-        eta=eta,
-        one_tol=params.one_tol,
-    )
+    return replace(params, eta=eta)

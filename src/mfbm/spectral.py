@@ -6,10 +6,10 @@ frequency-sign-dependent complex coefficient, so coherence between two
 components is constant in frequency.
 
 One Hermitian matrix carries the spectral convention: entry (i, j) of
-:func:`admissibility_matrix` is q_ij = Gamma(H_i+H_j+1) times the
-positive-frequency coefficient of the pair. The density, the
-low-frequency modulus and the coherence are all read off its entries;
-the negative half-line carries the conjugate.
+:func:`admissibility_matrix` is q_ij = Gamma(a+1) (rho_ij s - i eta_ij t),
+a = H_i + H_j, with the pair weights (s, t) written once, in
+``_pair_weights``. The density, the low-frequency modulus and the
+coherence are read off it; the negative half-line carries the conjugate.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .params import MfbmParams, PairKind
+from .params import MfbmParams
 
 __all__ = [
     "spectral_coeff",
@@ -42,6 +42,20 @@ def _gamma(x):
     return np.fromiter(map(math.gamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _pair_weights(H, one_tol: float):
+    """p x p arrays (a, s, t): a = H_i + H_j, and the pair's positive-frequency
+    coefficient is rho s - i eta t with (s, t) = (sin(pi a/2), cos(pi a/2))
+    for a generic pair, (1, pi/2) for a unit-sum pair, |a - 1| <= one_tol.
+    """
+    a = H[:, None] + H
+    half_alpha = 0.5 * np.pi * a
+    unit = np.abs(a - 1.0) <= one_tol
+    s, t = np.sin(half_alpha), np.cos(half_alpha)
+    np.copyto(s, 1.0, where=unit)
+    np.copyto(t, 0.5 * np.pi, where=unit)
+    return a, s, t
+
+
 def spectral_coeff(params: MfbmParams, i: int, j: int, sign_omega: int) -> complex:
     """Complex coefficient of the cross-spectrum on one frequency half-line.
 
@@ -51,17 +65,9 @@ def spectral_coeff(params: MfbmParams, i: int, j: int, sign_omega: int) -> compl
     """
     if sign_omega not in (-1, 1):
         raise ValueError(f"sign_omega must be -1 or +1, got {sign_omega}")
-    rho = params.rho[i, j]
-    eta = params.eta[i, j]
-    if params.pair_kind(i, j) is PairKind.UNIT_SUM:
-        return complex(rho, -0.5 * np.pi * eta * sign_omega)
-    half_alpha = 0.5 * np.pi * params.hurst_sum(i, j)
-    return complex(rho * np.sin(half_alpha), -eta * sign_omega * np.cos(half_alpha))
-
-
-def _q(params: MfbmParams, i: int, j: int) -> complex:
-    # Entry (i, j) of the admissibility matrix.
-    return _gamma(params.hurst_sum(i, j) + 1.0) * spectral_coeff(params, i, j, 1)
+    params.hurst_sum(i, j)  # IndexError on an out-of-range component
+    _, s, t = _pair_weights(params.H, params.one_tol)
+    return complex(params.rho[i, j] * s[i, j], -params.eta[i, j] * sign_omega * t[i, j])
 
 
 def admissibility_matrix(params: MfbmParams) -> np.ndarray:
@@ -69,10 +75,12 @@ def admissibility_matrix(params: MfbmParams) -> np.ndarray:
 
     Entry (i, j) is Gamma(H_i+H_j+1) times the positive-frequency spectral
     coefficient of the pair. Scales sigma do not enter. Hermitian holds
-    exactly: swapping indices conjugates the coefficient bitwise.
+    exactly: every factor is symmetric and eta antisymmetric.
     """
-    p = params.p
-    return np.array([[_q(params, i, j) for j in range(p)] for i in range(p)], dtype=complex)
+    a, s, t = _pair_weights(params.H, params.one_tol)
+    coeff = (params.rho * s).astype(complex)
+    coeff.imag = -params.eta * t
+    return _gamma(a + 1.0) * coeff
 
 
 def _omega_array(omega, delta: float) -> np.ndarray:
@@ -95,12 +103,13 @@ def cross_spectral_density(
     by branch.
     """
     omega = _omega_array(omega, delta)
-    q = _q(params, i, j)
+    a = params.hurst_sum(i, j)
+    q = admissibility_matrix(params)[i, j]
     out = (
         (params.sigma[i] * params.sigma[j] / np.pi)
         * np.where(omega > 0.0, q, q.conjugate())
         * (1.0 - np.cos(omega * delta))
-        / np.abs(omega) ** (params.hurst_sum(i, j) + 1.0)
+        / np.abs(omega) ** (a + 1.0)
     )
     return out if out.ndim else complex(out)
 
@@ -113,11 +122,12 @@ def low_frequency_modulus(
     (sigma_i sigma_j / 2pi) |q_ij| delta^2 |omega|^(1-a).
     """
     omega = _omega_array(omega, delta)
+    a = params.hurst_sum(i, j)
     out = (
         (params.sigma[i] * params.sigma[j] / (2.0 * np.pi))
-        * abs(_q(params, i, j))
+        * abs(admissibility_matrix(params)[i, j])
         * delta**2
-        * np.abs(omega) ** (1.0 - params.hurst_sum(i, j))
+        * np.abs(omega) ** (1.0 - a)
     )
     return out if out.ndim else float(out)
 
@@ -130,5 +140,6 @@ def coherence(params: MfbmParams, i: int, j: int) -> float:
     """
     if i == j:
         raise ValueError("coherence of a component with itself is trivially 1")
-    q_ii, q_jj = _q(params, i, i).real, _q(params, j, j).real
-    return float(abs(_q(params, i, j)) ** 2 / (q_ii * q_jj))
+    params.hurst_sum(i, j)  # IndexError on an out-of-range component
+    q = admissibility_matrix(params)
+    return float(abs(q[i, j]) ** 2 / (q[i, i].real * q[j, j].real))

@@ -145,3 +145,28 @@ def test_boundary_intercepts_match_max_correlation():
 def test_boundary_validates_points():
     with pytest.raises(ValueError):
         admissible_boundary(0.3, 0.6, n_points=1)
+
+
+def test_boundary_helpers_reject_exponents_outside_unit_interval():
+    # formerly NaN points, a ZeroDivisionError or a negative coherence
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h1, h2 in ((0.3, 1.5), (0.0, 0.5), (np.nan, 0.5), (0.5, 1.0), (-0.2, 0.4)):
+            with pytest.raises(ValueError, match="outside"):
+                admissible_boundary(h1, h2)
+            with pytest.raises(ValueError, match="outside"):
+                pair_coherence_at(h1, h2, 0.1, 0.1)
+
+
+def test_boundary_matches_coherence_on_every_ray():
+    # each point is the unit-coherence crossing of its own ray, for a
+    # generic and a unit-sum pair
+    for h1, h2 in ((0.2, 0.6), (0.3, 0.7), (0.85, 0.9)):
+        curve = admissible_boundary(h1, h2, n_points=73)
+        thetas = 2.0 * np.pi * np.arange(73) / 72
+        radii = np.hypot(curve[:, 0], curve[:, 1])
+        tol = 1e-15 * radii.max()
+        np.testing.assert_allclose(curve[:, 0], radii * np.cos(thetas), atol=tol)
+        np.testing.assert_allclose(curve[:, 1], radii * np.sin(thetas), atol=tol)
+        for rho, ep in curve[:-1]:
+            assert pair_coherence_at(h1, h2, rho, ep) == pytest.approx(1.0, rel=1e-13)

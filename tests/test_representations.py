@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -16,6 +18,7 @@ from mfbm import (
     spectral_factor,
     spectral_factor_p2,
     spectral_from_ma,
+    validate,
 )
 from conftest import make_params, random_admissible
 
@@ -236,3 +239,53 @@ def test_causal_params_admit_causal_factorization(rng):
 def test_special_case_eta_rejects_unknown():
     with pytest.raises(ValueError):
         special_case_eta(make_params([0.3, 0.6]), "sideways")
+
+
+def test_params_from_ma_rejects_exponents_it_cannot_use():
+    # one exponent per weight row, each finite and in (0, 1); formerly a
+    # p = 1 set with two sigmas, sigma = 5.8e7, or a divide-by-zero warning
+    ma = MovingAveragePair(m_plus=QUAD_MPLUS, m_minus=QUAD_MMINUS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for H in ([0.3], [1.0, 0.5], [0.0, 0.3], [0.3, np.nan], [0.3, 0.7, 0.4]):
+            with pytest.raises(ValueError, match="one exponent in"):
+                params_from_ma(ma, H)
+        with pytest.raises(ValueError, match="one exponent in"):
+            params_from_ma(ma, [[0.3, 0.7]])
+
+
+def test_causal_eta_phase_tie_p3_with_unit_sum_pair():
+    # arg of the positive-frequency coefficient is (pi/2)(H_i - H_j) on
+    # every pair; pair (0, 1) is unit-sum, the others generic
+    H = np.array([0.3, 0.7, 0.45])
+    rho = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.25], [-0.2, 0.25, 1.0]])
+    params = MfbmParams(H=H, sigma=np.ones(3), rho=rho, eta=np.zeros((3, 3)))
+    causal = special_case_eta(params, SpecialCase.CAUSAL)
+    eta = causal.eta
+    assert np.array_equal(eta, -eta.T)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        a = H[i] + H[j]
+        if abs(a - 1.0) <= params.one_tol:
+            coeff = complex(rho[i, j], -0.5 * np.pi * eta[i, j])
+            want = 2.0 * rho[i, j] / (np.pi * np.tan(np.pi * H[i]))
+        else:
+            s, t = np.sin(0.5 * np.pi * a), np.cos(0.5 * np.pi * a)
+            coeff = complex(rho[i, j] * s, -eta[i, j] * t)
+            want = -rho[i, j] * np.tan(0.5 * np.pi * a)
+            want *= np.tan(0.5 * np.pi * (H[i] - H[j]))
+        assert eta[i, j] == pytest.approx(want, rel=1e-13)
+        turned = coeff * np.exp(-0.5j * np.pi * (H[i] - H[j]))
+        assert abs(turned.imag) <= 1e-15 * abs(coeff)
+    assert check_admissibility(causal).admissible
+
+
+def test_params_from_ma_returns_valid_sets(rng):
+    # each pair is read off i < j and mirrored, so rho is symmetric and eta
+    # antisymmetric bitwise even where A A* is Hermitian only to round-off
+    for p in (1, 2, 3, 4, 5):
+        for _ in range(10):
+            ma = MovingAveragePair(
+                m_plus=rng.normal(size=(p, p)), m_minus=rng.normal(size=(p, p))
+            )
+            params = params_from_ma(ma, rng.uniform(0.05, 0.95, size=p))
+            assert validate(params).ok

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
 from mfbm import (
+    MfbmParams,
+    PairKind,
+    admissibility_matrix,
     coherence,
     cross_spectral_density,
     low_frequency_modulus,
@@ -124,3 +129,73 @@ def test_gamma_matches_scipy():
     grid = x[:12].reshape(3, 4)
     assert _gamma(grid).shape == (3, 4)
     np.testing.assert_array_equal(_gamma(grid), _gamma(x[:12]).reshape(3, 4))
+
+
+def test_component_index_out_of_range_raises():
+    # a negative index would wrap silently in a bare q[i, j]
+    for i, j in ((0, 2), (2, 0), (-1, 0), (0, -1), (1, -2)):
+        with pytest.raises(IndexError):
+            spectral_coeff(GENERIC, i, j, +1)
+        with pytest.raises(IndexError):
+            cross_spectral_density(GENERIC, i, j, 0.5)
+        with pytest.raises(IndexError):
+            low_frequency_modulus(GENERIC, i, j, 0.5)
+        with pytest.raises(IndexError):
+            coherence(GENERIC, i, j)
+
+
+def test_admissibility_matrix_matches_pair_formulas():
+    # both pair formulas written out entry by entry:
+    #   generic:  Gamma(a+1) (rho sin(pi a/2) - i eta cos(pi a/2))
+    #   unit sum: Gamma(a+1) (rho - i (pi/2) eta)
+    rng = np.random.default_rng(7130)
+    unit_draws = 0
+    for k in range(330):
+        p = int(rng.integers(2, 6))
+        H = rng.uniform(0.05, 0.95, size=p)
+        if k % 3 == 0:
+            i, j = rng.choice(p, size=2, replace=False)
+            H[j] = 1.0 - H[i]
+            unit_draws += 1
+        rho = np.eye(p)
+        eta = np.zeros((p, p))
+        for i in range(p):
+            for j in range(i + 1, p):
+                rho[i, j] = rho[j, i] = rng.uniform(-0.9, 0.9)
+                eta[i, j] = rng.uniform(-0.9, 0.9)
+                eta[j, i] = -eta[i, j]
+        params = MfbmParams(H=H, sigma=np.ones(p), rho=rho, eta=eta)
+        q = admissibility_matrix(params)
+        assert np.array_equal(q, q.conj().T)
+        for i in range(p):
+            for j in range(p):
+                if i == j:
+                    continue
+                a = H[i] + H[j]
+                if abs(a - 1.0) <= params.one_tol:
+                    coeff = complex(rho[i, j], -0.5 * math.pi * eta[i, j])
+                else:
+                    coeff = complex(
+                        rho[i, j] * math.sin(0.5 * math.pi * a),
+                        -eta[i, j] * math.cos(0.5 * math.pi * a),
+                    )
+                want = math.gamma(a + 1.0) * coeff
+                assert abs(q[i, j] - want) <= 1e-15 * abs(want)
+                got = spectral_coeff(params, i, j, +1)
+                assert abs(got - coeff) <= 1e-15 * abs(coeff)
+    assert unit_draws >= 100
+
+
+def test_unit_sum_branch_follows_pair_kind_at_band_edge():
+    # |H_i + H_j - 1| = one_tol exactly is still unit-sum, as in pair_kind
+    cases = (([0.25, 0.75], 0.0), ([0.5, 0.625], 0.125), ([0.5, 0.6875], 0.125))
+    for H, one_tol in cases:
+        params = make_params(H, rho01=0.4, eta01=0.3, one_tol=one_tol)
+        a = params.hurst_sum(0, 1)
+        if params.pair_kind(0, 1) is PairKind.UNIT_SUM:
+            coeff = complex(0.4, -0.5 * math.pi * 0.3)
+        else:
+            half_alpha = 0.5 * math.pi * a
+            coeff = complex(0.4 * math.sin(half_alpha), -0.3 * math.cos(half_alpha))
+        q01 = admissibility_matrix(params)[0, 1]
+        assert abs(q01 - math.gamma(a + 1.0) * coeff) <= 1e-15 * abs(q01)
