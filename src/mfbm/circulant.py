@@ -24,14 +24,14 @@ from typing import Any
 import numpy as np
 # numpy 2 loads these submodules on first use; importing them here keeps
 # that one-off cost out of the first timed simulate call
-from numpy.fft import hfft, rfft
+from numpy.fft import irfft, rfft
 from numpy.random import Generator, Philox, SeedSequence
 
-# increment_covariance is unused here, but the benchmark tracer
-# (perfbench/tracing.py) wraps it under this module's name
+# increment_covariance and validate are unused here, but the benchmark
+# tracer (perfbench/tracing.py) wraps them under this module's name
 from .covariance import increment_covariance, lag_block_array  # noqa: F401
 from .existence import _ridged_cholesky, check_admissibility
-from .params import MfbmParams, validate
+from .params import MfbmParams, validate  # noqa: F401
 
 __all__ = [
     "EigPolicy",
@@ -235,10 +235,7 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
     An explicit m = 2(n-1) raises ValueError unless the lag-(n-1) block
     is symmetric.
     """
-    report = validate(params)
-    if not report.ok:
-        raise ValueError(f"invalid parameters: {report}")
-    adm = check_admissibility(params)
+    adm = check_admissibility(params)  # validates first: ValueError if invalid
     if not adm.admissible:
         raise CirculantEmbeddingError(
             "parameters admit no valid covariance "
@@ -298,22 +295,6 @@ def _replicate_rng(seed: int, replicate: int, stream: int = 0) -> Generator:
     return Generator(Philox(SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def _path_meta(config: SimulationConfig, plan_m: int, exact: bool, truncated_mass: float,
-               replicate: int, integrate: bool) -> dict[str, Any]:
-    return {
-        "n": config.n,
-        "m": plan_m,
-        "seed": config.seed,
-        "replicates": config.replicates,
-        "eig_policy": config.eig_policy.value,
-        "integrate": integrate,
-        "replicate": replicate,
-        "exact": exact,
-        "truncated_mass": truncated_mass,
-        "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate,))",
-    }
-
-
 def simulate(
     plan: CirculantPlan, config: SimulationConfig, integrate: bool = False
 ) -> list[SamplePath]:
@@ -323,7 +304,10 @@ def simulate(
     shape (n+1, p) starting at zero when integrate is set. Only the
     frequencies 0..m/2 are colored; hfft of that Hermitian half equals
     the real part of the full complex FFT, so the paths are real by
-    construction.
+    construction. Path r's values are row r of one read-only (R, rows, p)
+    ensemble, which ensemble_from_paths returns uncopied; a kept path
+    keeps the whole ensemble alive, so .copy() its values to keep them
+    alone.
     """
     m, p, n = plan.m, plan.params.p, config.n
     if n > plan.n:
@@ -335,29 +319,33 @@ def simulate(
     u = buf[: half + 1]
     v = buf[half + 1 :]
     z = np.empty((half + 1, p), dtype=complex)
-    out: list[SamplePath] = []
+    w = np.empty_like(z)
+    ens = np.empty((config.replicates, n + integrate, p))
     for r in range(config.replicates):
-        rng = _replicate_rng(config.seed, r)
-        rng.standard_normal(out=buf)
+        _replicate_rng(config.seed, r).standard_normal(out=buf)
         z[0] = root2 * u[0]
         z[half] = root2 * u[half]
-        z[1:half] = u[1:half] + 1j * v
+        z.real[1:half] = u[1:half]
+        z.imag[1:half] = v
         z *= inv_root
-        w = np.einsum("kuv,kv->ku", plan.sqrt_blocks, z)
-        # copy: a view would keep the m-row transform alive with the path
-        values = hfft(w, n=m, axis=0)[:n].copy()
+        np.einsum("kuv,kv->ku", plan.sqrt_blocks, z, out=w)
+        # numpy's hfft, without its conjugate temporary
+        x = irfft(np.conjugate(w, out=w), n=m, axis=0, norm="forward")[:n]
         if integrate:
-            values = np.vstack([np.zeros((1, p)), np.cumsum(values, axis=0)])
-        out.append(
-            SamplePath(
-                values=values,
-                replicate=r,
-                meta=_path_meta(
-                    config, plan.m, plan.exact, plan.truncated_mass, r, integrate
-                ),
-            )
-        )
-    return out
+            ens[r, 0] = 0.0
+            np.cumsum(x, axis=0, out=ens[r, 1:])
+        else:
+            ens[r] = x
+    ens.setflags(write=False)
+    return [
+        SamplePath(values=ens[r], replicate=r, meta={
+            "n": n, "m": m, "seed": config.seed, "replicates": config.replicates,
+            "eig_policy": config.eig_policy.value, "integrate": integrate,
+            "replicate": r, "exact": plan.exact, "truncated_mass": plan.truncated_mass,
+            "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate,))",
+        })
+        for r in range(config.replicates)
+    ]
 
 
 def toeplitz_covariance(params: MfbmParams, n: int) -> np.ndarray:

@@ -183,11 +183,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_represent(args) -> int:
     params = _load_valid_params(args.params)
-    if params.p == 2:
-        factor = spectral_factor_p2(params)
-    else:
-        factor = spectral_factor(params)
-    a = factor.matrix
+    a = (spectral_factor_p2 if params.p == 2 else spectral_factor)(params).matrix
     payload = {
         "A_re": a.real.tolist(),
         "A_im": a.imag.tolist(),
@@ -315,17 +311,8 @@ def _cmd_verify(args) -> int:
         values = np.diff(values, axis=1)
     comparisons, summary = compare_report(values, params, lags, delta=args.delta)
     rows = [
-        [
-            c.i,
-            c.j,
-            c.h,
-            _fmt(c.delta),
-            _fmt(c.empirical),
-            _fmt(c.theoretical),
-            _fmt(c.stderr),
-            _fmt(c.z),
-            c.n_replicates,
-        ]
+        [c.i, c.j, c.h, *map(_fmt, (c.delta, c.empirical, c.theoretical, c.stderr, c.z)),
+         c.n_replicates]
         for c in comparisons
     ]
     _write_rows(

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .params import MfbmParams, validate
-from .spectral import _gamma, admissibility_matrix, coherence
+from .spectral import _coherence, _gamma, admissibility_matrix, coherence
 
 __all__ = [
     "SpecialCase",
@@ -68,7 +68,7 @@ def check_admissibility(params: MfbmParams, psd_tol: float = 1e-10) -> Admissibi
     q = admissibility_matrix(params)
     eigenvalues = np.linalg.eigvalsh(q)
     threshold = psd_tol * float(np.max(np.abs(q)))
-    c12 = coherence(params, 0, 1) if params.p == 2 else None
+    c12 = _coherence(q, 0, 1) if params.p == 2 else None
     return AdmissibilityReport(
         admissible=bool(eigenvalues[0] >= -threshold),
         min_eigenvalue=float(eigenvalues[0]),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .existence import SpecialCase, _ridged_cholesky, check_admissibility
 from .params import MfbmParams
-from .spectral import _gamma, _pair_weights, admissibility_matrix, coherence
+from .spectral import _coherence, _gamma, _pair_weights, admissibility_matrix
 
 __all__ = [
     "CovarianceExistenceError",
@@ -75,8 +75,11 @@ def gram_target(params: MfbmParams) -> np.ndarray:
     Entry (i, j): (sigma_i sigma_j / 2 pi) Gamma(H_i+H_j+1) times the
     positive-frequency spectral coefficient.
     """
-    scale = np.outer(params.sigma, params.sigma) / (2.0 * np.pi)
-    return scale * admissibility_matrix(params)
+    return _scaled_gram(params, admissibility_matrix(params))
+
+
+def _scaled_gram(params: MfbmParams, q: np.ndarray) -> np.ndarray:
+    return np.outer(params.sigma, params.sigma) / (2.0 * np.pi) * q
 
 
 def spectral_factor(params: MfbmParams, psd_tol: float = 1e-10) -> SpectralFactor:
@@ -118,12 +121,13 @@ def spectral_factor_p2(params: MfbmParams) -> SpectralFactor:
     """
     if params.p != 2:
         raise ValueError("closed-form factor is specific to p = 2")
-    c = coherence(params, 0, 1)
+    q = admissibility_matrix(params)
+    c = _coherence(q, 0, 1)
     if c > 1.0 + 1e-12:
         raise CovarianceExistenceError(
             f"pair coherence {c:.6f} exceeds 1; no valid covariance exists"
         )
-    target = gram_target(params)
+    target = _scaled_gram(params, q)
     diag = np.real(np.diag(target))
     if c == 0.0:
         return SpectralFactor(matrix=np.diag(np.sqrt(diag)).astype(complex))

@@ -141,5 +141,9 @@ def coherence(params: MfbmParams, i: int, j: int) -> float:
     if i == j:
         raise ValueError("coherence of a component with itself is trivially 1")
     params.hurst_sum(i, j)  # IndexError on an out-of-range component
-    q = admissibility_matrix(params)
+    return _coherence(admissibility_matrix(params), i, j)
+
+
+def _coherence(q: np.ndarray, i: int, j: int) -> float:
+    """|q_ij|^2 / (q_ii q_jj) read off a built admissibility matrix q."""
     return float(abs(q[i, j]) ** 2 / (q[i, i].real * q[j, j].real))

@@ -69,19 +69,40 @@ def ensemble_from_paths(paths: Iterable[SamplePath]) -> np.ndarray:
 
     Integrated paths (leading zero row, flagged in meta) are differenced
     back to increments so downstream estimators see one representation.
+    Paths that are rows 0..R-1, in order, of one read-only (R, rows, p)
+    array, as simulate returns them, come back as that array itself, not
+    a copy (integrated ones as one diff of it); any other list is stacked.
     """
-    arrays = []
-    for path in paths:
-        values = path.values
-        if path.meta.get("integrate"):
-            values = np.diff(values, axis=0)
-        arrays.append(values)
+    paths = list(paths)
+    base = _shared_ensemble(paths) if paths else None
+    if base is not None:
+        return np.diff(base, axis=1) if paths[0].meta.get("integrate") else base
+    arrays = [
+        np.diff(path.values, axis=0) if path.meta.get("integrate") else path.values
+        for path in paths
+    ]
     if not arrays:
         raise ValueError("empty ensemble")
     out = np.stack(arrays)
     if out.ndim != 3:
         raise ValueError("paths must be matrices of equal shape")
     return out
+
+
+def _shared_ensemble(paths: list[SamplePath]) -> np.ndarray | None:
+    """The read-only (R, rows, p) array whose rows 0..R-1 are the paths'
+    values, in order and with one integrate flag; else None."""
+    base = paths[0].values.base
+    if not (isinstance(base, np.ndarray) and base.ndim == 3
+            and len(base) == len(paths) and not base.flags.writeable):
+        return None
+    flag = paths[0].meta.get("integrate")
+    for row, path in zip(base, paths):
+        values = path.values
+        if (values.base is not base or path.meta.get("integrate") != flag
+                or values.__array_interface__ != row.__array_interface__):
+            return None
+    return base
 
 
 def replicate_mean_stderr(values) -> tuple[np.ndarray, np.ndarray]:

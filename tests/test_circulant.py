@@ -196,7 +196,10 @@ def test_simulate_matches_definition(rng, p, n):
         for integrate in (False, True):
             paths = simulate(plan, cfg, integrate=integrate)
             for path, want in zip(paths, _reference_paths(plan, cfg, integrate)):
-                assert path.values.flags.c_contiguous and path.values.flags.owndata
+                # a view of the (R, rows, p) ensemble, never of an m-row transform
+                values = path.values
+                assert values.flags.c_contiguous and not values.flags.writeable
+                assert values.base.shape == (cfg.replicates,) + want.shape
                 assert np.allclose(
                     path.values, want, rtol=0, atol=1e-12 * np.abs(want).max()
                 )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,84 @@ def test_ensemble_from_paths_rejects_empty_and_ragged():
         ensemble_from_paths(
             [SamplePath(values=np.zeros(4), replicate=0, meta={})]
         )
+
+
+def simulated_paths(integrate, n=9, replicates=4, seed=5):
+    params = make_params([0.3, 0.7], rho01=0.3, eta01=0.1)
+    config = SimulationConfig(n=n, replicates=replicates, seed=seed)
+    return simulate(build_plan(params, config), config, integrate=integrate)
+
+
+def increments(path):
+    return np.diff(path.values, axis=0) if path.meta["integrate"] else path.values
+
+
+def test_ensemble_from_paths_returns_simulate_buffer_uncopied():
+    paths = simulated_paths(integrate=False)
+    out = ensemble_from_paths(paths)
+    assert out.shape == (4, 9, 2)
+    assert all(np.shares_memory(out, path.values) for path in paths)
+    assert np.array_equal(out, np.stack([path.values for path in paths]))
+    with pytest.raises(ValueError):
+        out[0, 0, 0] = 1.0
+
+
+def test_ensemble_from_paths_differences_integrated_paths():
+    paths = simulated_paths(integrate=True)
+    out = ensemble_from_paths(paths)
+    assert out.shape == (4, 9, 2)
+    assert np.array_equal(out, np.stack([np.diff(p.values, axis=0) for p in paths]))
+
+
+def hand_built(paths):
+    return [SamplePath(p.values.copy(), p.replicate, dict(p.meta)) for p in paths]
+
+
+def rows_of_writable_array(paths):
+    ens = np.stack([p.values for p in paths])
+    return [SamplePath(ens[r], p.replicate, dict(p.meta)) for r, p in enumerate(paths)]
+
+
+def mixed(paths):
+    walks = simulated_paths(integrate=True)
+    return [walks[r] if r % 2 else p for r, p in enumerate(paths)]
+
+
+@pytest.mark.parametrize(
+    "pick",
+    [
+        lambda ps: ps[::-1],
+        lambda ps: ps[1:],
+        lambda ps: ps[:1] * len(ps),
+        lambda ps: ps + simulated_paths(integrate=False, seed=6),
+        hand_built,
+        rows_of_writable_array,
+        mixed,
+    ],
+    ids=["reversed", "sliced", "repeated", "two-runs", "hand-built", "writable", "mixed"],
+)
+def test_ensemble_from_paths_stacks_any_other_list(pick):
+    paths = pick(simulated_paths(integrate=False))
+    out = ensemble_from_paths(paths)
+    assert np.array_equal(out, np.stack([increments(p) for p in paths]))
+    assert not any(np.shares_memory(out, p.values) for p in paths)
+
+
+@pytest.mark.parametrize("integrate, bound", [(False, 1.25), (True, 2.25)])
+def test_ensemble_from_paths_of_simulate_holds_one_ensemble(integrate, bound):
+    # the paths and the ensemble share one buffer; a stacked copy or
+    # per-path arrays beside it would double the peak
+    params = make_params([0.3, 0.5, 0.7], rho01=0.2, eta01=0.05)
+    config = SimulationConfig(n=1025, replicates=256, seed=3)
+    plan = build_plan(params, config)
+    tracemalloc.start()
+    try:
+        values = ensemble_from_paths(simulate(plan, config, integrate=integrate))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (256, 1025, 3)
+    assert peak <= bound * values.nbytes, peak / values.nbytes
 
 
 def test_replicate_mean_stderr_matches_definition():
