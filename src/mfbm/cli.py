@@ -34,7 +34,7 @@ from .existence import (
 from .limits import limit_target, load_kernel_spec, simulate_partial_sums
 from .params import MfbmParams, load_params, params_to_dict, validate
 from .representations import ma_from_spectral, spectral_factor, spectral_factor_p2
-from .spectral import coherence, cross_spectral_density
+from .spectral import _coherence, _density, _omega_array, admissibility_matrix
 from .stats import compare_report, replicate_mean_stderr
 
 __all__ = ["main", "build_parser"]
@@ -128,14 +128,15 @@ def _cmd_covariance(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     params = _load_valid_params(args.params)
-    omegas = _parse_grid(args.omegas)
+    omegas = _omega_array(_parse_grid(args.omegas), args.delta)
     p = params.p
+    q = admissibility_matrix(params)
     dens = np.empty((omegas.shape[0], p, p), dtype=complex)
     coh = np.ones((p, p))
     for i, j in np.ndindex(p, p):
-        dens[:, i, j] = cross_spectral_density(params, i, j, omegas, args.delta)
+        dens[:, i, j] = _density(params, q, i, j, omegas, args.delta)
         if i != j:
-            coh[i, j] = coherence(params, i, j)
+            coh[i, j] = _coherence(q, i, j)
     rows = [
         [i, j, _fmt(omegas[k]), _fmt(args.delta), _fmt(s.real), _fmt(s.imag), _fmt(coh[i, j])]
         for (k, i, j), s in np.ndenumerate(dens)

@@ -103,15 +103,19 @@ def cross_spectral_density(
     by branch.
     """
     omega = _omega_array(omega, delta)
-    a = params.hurst_sum(i, j)
-    q = admissibility_matrix(params)[i, j]
-    out = (
-        (params.sigma[i] * params.sigma[j] / np.pi)
-        * np.where(omega > 0.0, q, q.conjugate())
-        * (1.0 - np.cos(omega * delta))
-        / np.abs(omega) ** (a + 1.0)
-    )
+    params.hurst_sum(i, j)  # IndexError on an out-of-range component
+    out = _density(params, admissibility_matrix(params), i, j, omega, delta)
     return out if out.ndim else complex(out)
+
+
+def _density(params: MfbmParams, q: np.ndarray, i: int, j: int, omega, delta):
+    """S_{i,j} on a checked omega array, read off a built admissibility matrix q."""
+    return (
+        (params.sigma[i] * params.sigma[j] / np.pi)
+        * np.where(omega > 0.0, q[i, j], q[i, j].conjugate())
+        * (1.0 - np.cos(omega * delta))
+        / np.abs(omega) ** (params.hurst_sum(i, j) + 1.0)
+    )
 
 
 def low_frequency_modulus(
