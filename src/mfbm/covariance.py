@@ -67,8 +67,8 @@ def increment_covariance(
     component j at time t + h; positive h means component j lags behind.
     Equals a centered second difference of the structure function.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     h = np.asarray(h, dtype=float)
     w = lambda x: structure_function(params, i, j, x)
     half = 0.5 * params.sigma[i] * params.sigma[j]

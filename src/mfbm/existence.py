@@ -10,12 +10,12 @@ components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .params import MfbmParams, validate
+from .params import MfbmParams, PairKind, eta_from_prime, validate
 from .spectral import _coherence, _gamma, admissibility_matrix, coherence
 
 __all__ = [
@@ -140,18 +140,17 @@ def pair_coherence_at(
     coefficient itself. Both exponents must lie in (0, 1).
     """
     _check_hurst_pair(h1, h2)
-    if abs(h1 + h2 - 1.0) <= one_tol:
-        eta = eta_prime
-    else:
-        eta = eta_prime / (1.0 - h1 - h2)
     params = MfbmParams(
         H=[h1, h2],
         sigma=[1.0, 1.0],
         rho=[[1.0, rho], [rho, 1.0]],
-        eta=[[0.0, eta], [-eta, 0.0]],
+        eta=np.zeros((2, 2)),
         one_tol=one_tol,
     )
-    return coherence(params, 0, 1)
+    eta = eta_prime
+    if params.pair_kind(0, 1) is PairKind.GENERIC_SUM:
+        eta = eta_from_prime(params, 0, 1, eta_prime)
+    return coherence(replace(params, eta=[[0.0, eta], [-eta, 0.0]]), 0, 1)
 
 
 def admissible_boundary(

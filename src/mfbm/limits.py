@@ -137,6 +137,11 @@ def load_kernel_spec(path: str | Path) -> KernelSpec:
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("a kernel file must hold one JSON object")
+    extra = set(payload) - {"p", "plus", "minus", "truncation"}
+    if extra:
+        raise ValueError(f"unknown kernel spec keys {sorted(extra)}")
     for key in ("plus", "minus"):
         if key not in payload:
             raise ValueError(f"kernel spec is missing {key!r}")
@@ -202,9 +207,10 @@ def realize_kernel(
 class LimitTarget:
     """Limiting mfBm of the normalized partial sums.
 
-    For all-zero exponents the limit is a correlated Brownian motion;
-    m_plus then holds the mixing matrix of the driving motions and
-    m_minus is zero.
+    m_plus and m_minus are the limiting moving average weights at
+    h = d + 1/2. For all-zero exponents the limit is a correlated
+    Brownian motion: m_plus then holds the mixing matrix of the driving
+    motions and m_minus is zero.
     """
 
     d: np.ndarray
@@ -235,51 +241,28 @@ def limit_target(spec: KernelSpec, one_tol: float = 1e-9) -> LimitTarget:
     """Parameters of the mfBm the scaled partial sums converge to.
 
     Only kernels attaining the row exponent survive in the limit, with
-    weight alpha / d_i. Rows with d_i = 0 follow the Brownian route
-    instead; mixing zero and nonzero row exponents is not supported, as
-    the joint cross structure is not defined here.
+    weight alpha / d_i; a Brownian row (d_i = 0) adds its spikes, all at
+    k = 0, into m_plus. Every grid goes through params_from_ma at
+    h = d + 1/2. Mixing zero and nonzero row exponents is not supported,
+    as the joint cross structure is not defined here.
     """
     p = spec.p
     d = _row_exponents(spec)
-    if np.all(d == 0.0):
-        mix = np.zeros((p, p))
-        for i in range(p):
-            for j in range(p):
-                for side in (spec.plus, spec.minus):
-                    cell = side[i][j]
-                    if cell is not None and cell.d == 0.0:
-                        mix[i, j] += cell.alpha
-        cov = mix @ mix.T
-        sigma = np.sqrt(np.diag(cov))
-        if not np.all(sigma > 0.0):
-            raise ValueError("a Brownian row has zero variance")
-        rho = cov / np.outer(sigma, sigma)
-        np.fill_diagonal(rho, 1.0)
-        rho = 0.5 * (rho + rho.T)
-        params = MfbmParams(
-            H=np.full(p, 0.5),
-            sigma=sigma,
-            rho=rho,
-            eta=np.zeros((p, p)),
-            one_tol=one_tol,
-        )
-        return LimitTarget(
-            d=d, h=np.full(p, 0.5), m_plus=mix, m_minus=np.zeros((p, p)), params=params
-        )
-    if np.any(d == 0.0):
+    brownian = d == 0.0
+    if brownian.any() and not brownian.all():
         raise ValueError(
             "rows with zero and nonzero limiting exponents cannot be mixed"
         )
     m_plus = np.zeros((p, p))
     m_minus = np.zeros((p, p))
-    for i in range(p):
-        for j in range(p):
-            cp = spec.plus[i][j]
-            if cp is not None and cp.d == d[i]:
-                m_plus[i, j] = cp.alpha / d[i]
-            cm = spec.minus[i][j]
-            if cm is not None and cm.d == d[i]:
-                m_minus[i, j] = cm.alpha / d[i]
+    for i, j in np.ndindex(p, p):
+        for cell, weights in ((spec.plus[i][j], m_plus), (spec.minus[i][j], m_minus)):
+            if cell is None or cell.d != d[i]:
+                continue
+            if brownian[i]:
+                m_plus[i, j] += cell.alpha
+            else:
+                weights[i, j] = cell.alpha / d[i]
     h = d + 0.5
     params = params_from_ma(
         MovingAveragePair(m_plus=m_plus, m_minus=m_minus), h, one_tol=one_tol

@@ -36,6 +36,11 @@ class PairKind(Enum):
     UNIT_SUM = "unit_sum"
 
 
+def _unit_sum(a, one_tol: float):
+    """Whether Hurst sums a (a float or an array) take the unit-sum branch."""
+    return abs(a - 1.0) <= one_tol
+
+
 def _frozen_array(values, ndim: int) -> np.ndarray:
     out = np.array(values, dtype=float)
     if out.ndim < ndim:
@@ -89,7 +94,7 @@ class MfbmParams:
 
     def pair_kind(self, i: int, j: int) -> PairKind:
         """Classify pair (i, j); unit-sum within one_tol of H_i + H_j = 1."""
-        if abs(self.hurst_sum(i, j) - 1.0) <= self.one_tol:
+        if _unit_sum(self.hurst_sum(i, j), self.one_tol):
             return PairKind.UNIT_SUM
         return PairKind.GENERIC_SUM
 
@@ -187,6 +192,11 @@ def params_to_dict(params: MfbmParams) -> dict:
 
 
 def params_from_dict(payload: dict) -> MfbmParams:
+    if not isinstance(payload, dict):
+        raise ValueError("a parameter file must hold one JSON object")
+    extra = set(payload) - {"p", "H", "sigma", "rho", "eta", "one_tol"}
+    if extra:
+        raise ValueError(f"unknown parameter file keys {sorted(extra)}")
     try:
         H = payload["H"]
         sigma = payload["sigma"]

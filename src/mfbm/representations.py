@@ -9,8 +9,10 @@ choice here, with a closed-form alternative for p = 2.
 The A <-> (M+, M-) change of basis uses row phases
 phi_i = (pi/2)(H_i + 1/2): row i of A built from (M+, M-) is
 Gamma(H_i + 1/2) (cos(phi_i) (M+ + M-) + i sin(phi_i) (M+ - M-))_i
-/ sqrt(2 pi). The map degenerates at H_i = 1/2 (cos(phi_i) = 0), which
-is exactly the excluded exponent of the moving average form.
+/ sqrt(2 pi). The phases are read off the complementary angle, so
+H_i = 1/2 gives (cos, sin) = (0, 1) exactly and only M+ - M- drives a
+Brownian row. The inverse map degenerates there (cos(phi_i) = 0), the
+excluded exponent of the moving average form.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .existence import SpecialCase, _ridged_cholesky, check_admissibility
-from .params import MfbmParams
+from .params import MfbmParams, _unit_sum
 from .spectral import _coherence, _gamma, _pair_weights, admissibility_matrix
 
 __all__ = [
@@ -137,8 +139,10 @@ def spectral_factor_p2(params: MfbmParams) -> SpectralFactor:
     return SpectralFactor(matrix=a_mat)
 
 
-def _row_phases(H: np.ndarray) -> np.ndarray:
-    return 0.5 * np.pi * (H + 0.5)
+def _row_phases(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos phi, sin phi) at phi = (pi/2)(H + 1/2); exactly (0, 1) at H = 1/2."""
+    complement = 0.5 * np.pi * (0.5 - H)
+    return np.sin(complement), np.cos(complement)
 
 
 def _check_half_exponents(H: np.ndarray) -> None:
@@ -158,10 +162,10 @@ def ma_from_spectral(a, H) -> MovingAveragePair:
     a_mat = np.asarray(getattr(a, "matrix", a), dtype=complex)
     H = np.atleast_1d(np.asarray(H, dtype=float))
     _check_half_exponents(H)
-    phases = _row_phases(H)
+    cos_phi, sin_phi = _row_phases(H)
     gammas = _gamma(H + 0.5)
-    d1_inv = 1.0 / (np.cos(phases) * gammas)
-    d2_inv = 1.0 / (np.sin(phases) * gammas)
+    d1_inv = 1.0 / (cos_phi * gammas)
+    d2_inv = 1.0 / (sin_phi * gammas)
     term1 = d1_inv[:, None] * a_mat.real
     term2 = d2_inv[:, None] * a_mat.imag
     root = np.sqrt(0.5 * np.pi)
@@ -172,9 +176,9 @@ def ma_from_spectral(a, H) -> MovingAveragePair:
 
 def _factor_from_ma(ma: MovingAveragePair, H: np.ndarray) -> np.ndarray:
     # The change of basis of the module docstring, defined at every H.
-    phases = _row_phases(H)[:, None]
+    cos_phi, sin_phi = _row_phases(H)
     msum, mdiff = ma.m_plus + ma.m_minus, ma.m_plus - ma.m_minus
-    rows = np.cos(phases) * msum + 1j * np.sin(phases) * mdiff
+    rows = cos_phi[:, None] * msum + 1j * sin_phi[:, None] * mdiff
     return _gamma(H + 0.5)[:, None] * rows / np.sqrt(2.0 * np.pi)
 
 
@@ -233,8 +237,8 @@ def special_case_eta(params: MfbmParams, case: SpecialCase) -> MfbmParams:
     eta = np.zeros_like(params.rho)
     if case is SpecialCase.CAUSAL:
         H = params.H
-        _, s, t = _pair_weights(H, params.one_tol)
-        unit = t == 0.5 * np.pi  # a generic t is a cosine, never pi/2
+        a, s, t = _pair_weights(H, params.one_tol)
+        unit = _unit_sum(a, params.one_tol)
         if np.any(np.triu(unit, 1) & (np.abs(H - 0.5) < 1e-9)[:, None]):
             raise ValueError(
                 "causal tie is undefined for a unit-sum pair with H = 1/2"

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .params import MfbmParams
+from .params import MfbmParams, _unit_sum
 
 __all__ = [
     "spectral_coeff",
@@ -49,7 +49,7 @@ def _pair_weights(H, one_tol: float):
     """
     a = H[:, None] + H
     half_alpha = 0.5 * np.pi * a
-    unit = np.abs(a - 1.0) <= one_tol
+    unit = _unit_sum(a, one_tol)
     s, t = np.sin(half_alpha), np.cos(half_alpha)
     np.copyto(s, 1.0, where=unit)
     np.copyto(t, 0.5 * np.pi, where=unit)
@@ -84,8 +84,8 @@ def admissibility_matrix(params: MfbmParams) -> np.ndarray:
 
 
 def _omega_array(omega, delta: float) -> np.ndarray:
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     omega = np.asarray(omega, dtype=float)
     if np.any(omega == 0.0):
         raise ValueError("omega = 0 is outside the domain of the density")

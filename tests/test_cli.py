@@ -472,6 +472,46 @@ def test_grid_options_reject_non_finite_values(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["covariance", "spectrum", "verify"])
+@pytest.mark.parametrize("delta", ["inf", "nan", "0"])
+def test_delta_must_be_positive_and_finite(params_file, tmp_path, capsys, command, delta):
+    # an infinite step used to write inf/NaN rows and exit 0 (verify: 1)
+    argv = [command, "--params", params_file]
+    if command == "verify":
+        paths = tmp_path / "paths"
+        sim = ["simulate", "--params", params_file, "--n", "8", "--replicates", "30"]
+        assert main([*sim, "--out", str(paths)]) == 0
+        argv += ["--paths", str(paths)]
+    grid = ["--omegas", "1,2"] if command == "spectrum" else ["--lags", "0,1"]
+    out = tmp_path / "out.csv"
+    argv += [*grid, "--delta", delta, "--out", str(out)]
+    assert main(argv) == 2
+    assert "delta must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_input_files_reject_unknown_keys(params_file, kernels_file, tmp_path, capsys):
+    # misspelt keys used to be dropped, leaving their defaults in force
+    for source, key, argv in [
+        (params_file, "one_tl", ["check", "--params"]),
+        (kernels_file, "trunction", ["limits", "--n-grid", "8", "--kernels"]),
+    ]:
+        bad = tmp_path / f"bad-{key}.json"
+        bad.write_text(json.dumps({**json.loads(Path(source).read_text()), key: 8}))
+        assert main([*argv, str(bad)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", "[{}]", '"abc"'])
+def test_input_files_must_hold_an_object(tmp_path, capsys, text):
+    # these used to end in a TypeError traceback instead of exit 2
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    assert main(["check", "--params", str(path)]) == 2
+    assert main(["limits", "--kernels", str(path), "--n-grid", "8"]) == 2
+    assert capsys.readouterr().err.count("must hold one JSON object") == 2
+
+
 def test_limits_matches_per_cell_reference(tmp_path):
     power = lambda regime, alpha, d: {"regime": regime, "alpha": alpha, "d": d}
     payload = {

@@ -91,6 +91,15 @@ def test_increment_covariance_rejects_bad_delta():
         increment_covariance(GENERIC, 0, 1, 1.0, delta=-1.0)
 
 
+@pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
+def test_increment_covariance_rejects_non_finite_delta(delta):
+    # an infinite step used to give inf - inf = nan covariances
+    with pytest.raises(ValueError, match="positive and finite"):
+        increment_covariance(GENERIC, 0, 1, 1.0, delta=delta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        lag_block_array(GENERIC, [0.0, 1.0], delta=delta)
+
+
 @given(h=st.floats(-50.0, 50.0), delta=st.floats(0.1, 3.0))
 @settings(max_examples=60, deadline=None)
 def test_lag_reflection_swaps_components(h, delta):

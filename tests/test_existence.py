@@ -9,6 +9,8 @@ from mfbm import (
     admissibility_matrix,
     admissible_boundary,
     check_admissibility,
+    coherence,
+    eta_from_prime,
     max_correlation,
     pair_coherence_at,
 )
@@ -122,6 +124,14 @@ def test_pair_coherence_at_unit_sum_branch():
     # on the unit-sum line the second coordinate acts directly
     c = pair_coherence_at(0.3, 0.7, 0.0, 0.542599238, one_tol=1e-9)
     assert c == pytest.approx(1.0, abs=1e-6)
+
+
+def test_pair_coherence_at_converts_eta_prime_like_eta_from_prime(rng):
+    for h1, h2 in rng.uniform(0.05, 0.95, size=(100, 2)):
+        base = make_params([h1, h2], rho01=0.2)
+        eta = eta_from_prime(base, 0, 1, 0.1)
+        want = coherence(make_params([h1, h2], rho01=0.2, eta01=eta), 0, 1)
+        assert pair_coherence_at(h1, h2, 0.2, 0.1) == want
 
 
 def test_boundary_is_closed_and_unit_coherence():

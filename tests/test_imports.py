@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private name is read somewhere in the package.
 
-The toolchain has no linter, so this stands in for its unused-import
-rule. The only names exempt are those perfbench/tracing.py wraps in a
-module: the tracer replaces them by name, so they stay bound there even
-when the module itself no longer calls them.
+The toolchain has no linter, so this stands in for its unused-import and
+dead-code rules; the second catches a helper that a removed code path
+leaves behind. The only names exempt are those perfbench/tracing.py wraps
+in a module: the tracer replaces them by name, so they stay bound there
+even when the module itself no longer calls them.
 """
 import ast
 import importlib.util
@@ -47,3 +49,50 @@ def test_package_modules_use_every_import():
         if (path.stem, name) not in traced
     }
     assert not found, f"imported but never used: {sorted(found)}"
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level names with one leading underscore that the source binds."""
+    bound = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names the source reads: loaded names, attributes and from-imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_private_name_helpers_find_dead_names():
+    source = "_A = 1\n_b, c = 2, 3\ndef _f():\n    return _A\nclass _K: pass\n__all__ = []\n"
+    assert private_definitions(source) == {"_A", "_b", "_f", "_K"}
+    assert private_definitions(source) - referenced_names(source) == {"_b", "_f", "_K"}
+    assert "_g" in referenced_names("from m import _g\nm._h\n")
+
+
+def test_package_reads_every_private_name():
+    traced = traced_names()
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(referenced_names, sources.values()))
+    dead = {
+        f"{stem}.{name}"
+        for stem, source in sources.items()
+        for name in private_definitions(source) - read
+        if (stem, name) not in traced
+    }
+    assert not dead, f"private names never read in the package: {sorted(dead)}"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from mfbm import (
     KernelRegime,
     KernelSide,
     KernelSpec,
+    is_time_reversible,
     limit_target,
+    load_kernel_spec,
     mfbm_covariance,
     realize_kernel,
     simulate_partial_sums,
@@ -192,8 +196,86 @@ def test_limit_target_rejects_cancelled_brownian_row():
     a = KernelSide(KernelRegime.SUMMABLE, alpha=2.0)
     b = KernelSide(KernelRegime.SUMMABLE, alpha=-2.0)
     spec = KernelSpec(plus=((a,),), minus=((b,),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="carries no variance"):
         limit_target(spec)
+
+
+def brownian_p2():
+    a = KernelSide(KernelRegime.SUMMABLE, alpha=2.0)
+    b = KernelSide(KernelRegime.SUMMABLE, alpha=-1.0)
+    return KernelSpec(plus=((a, b), (None, a)), minus=((None, None), (b, None)))
+
+
+def brownian_p3():
+    s = lambda alpha: KernelSide(KernelRegime.SUMMABLE, alpha=alpha)
+    return KernelSpec(
+        plus=((s(1.3), s(0.4), None), (s(-0.7), s(1.1), s(0.25)), (None, s(0.6), s(0.9))),
+        minus=((s(0.2), None, s(-0.5)), (None, None, s(0.3)), (s(0.35), None, s(-0.4))),
+    )
+
+
+def cross_grid():
+    # the psum-cross benchmark grid: cross terms and both power regimes
+    pos = lambda alpha: KernelSide(KernelRegime.POWER_POS, alpha=alpha, d=0.2)
+    neg = lambda alpha: KernelSide(KernelRegime.POWER_NEG, alpha=alpha, d=-0.2)
+    return KernelSpec(
+        plus=((pos(1.0), pos(0.5)), (None, neg(1.0))),
+        minus=((None, None), (neg(0.4), None)),
+    )
+
+
+# Frozen limit_target outputs: (grid, m_plus, m_minus, sigma, rho_ij, eta_ij)
+FROZEN_TARGETS = [
+    (
+        cross_grid,
+        [[5.0, 2.5], [0.0, -5.0]],
+        [[0.0, 0.0], [-2.0, 0.0]],
+        [5.120098179819905, 7.374080039155267],
+        [-0.003191147355783915],
+        [0.13242923440744545],
+    ),
+    (
+        brownian_p2,
+        [[2.0, -1.0], [-1.0, 2.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [2.23606797749979, 2.23606797749979],
+        [-0.7999999999999998],
+        [0.0],
+    ),
+    (
+        brownian_p3,
+        [[1.5, 0.4, -0.5], [-0.7, 1.1, 0.55], [0.35, 0.6, 0.5]],
+        np.zeros((3, 3)),
+        [1.6309506430300091, 1.4150971698084907, 0.8558621384311844],
+        [-0.3834565760015124, 0.3689458215940774, 0.5697167837062008],
+        [0.0, 0.0, 0.0],
+    ),
+]
+
+
+@pytest.mark.parametrize("grid, m_plus, m_minus, sigma, rho, eta", FROZEN_TARGETS)
+def test_limit_target_frozen(grid, m_plus, m_minus, sigma, rho, eta):
+    target = limit_target(grid())
+    upper = np.triu_indices(target.params.p, 1)
+    assert np.array_equal(target.m_plus, m_plus)
+    assert np.array_equal(target.m_minus, m_minus)
+    np.testing.assert_allclose(target.params.sigma, sigma, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(target.params.rho[upper], rho, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(target.params.eta[upper], eta, rtol=1e-14, atol=0)
+
+
+def test_all_summable_limit_is_time_reversible():
+    target = limit_target(brownian_p3())
+    assert np.array_equal(target.h, [0.5, 0.5, 0.5])
+    assert is_time_reversible(target.params)
+
+
+def test_load_kernel_spec_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "k.json"
+    cell = {"regime": "summable", "alpha": 1.0}
+    path.write_text(json.dumps({"plus": [[cell]], "minus": [[None]], "trunction": 8}))
+    with pytest.raises(ValueError, match="trunction"):
+        load_kernel_spec(path)
 
 
 def test_partial_sums_shape_and_zero_start():

@@ -6,14 +6,17 @@ import pytest
 from mfbm import (
     MfbmParams,
     PairKind,
+    SpecialCase,
     dump_params,
     eta_from_prime,
     eta_prime,
     load_params,
     params_from_dict,
     params_to_dict,
+    special_case_eta,
     validate,
 )
+from mfbm.spectral import _pair_weights
 from conftest import make_params
 
 
@@ -89,6 +92,23 @@ def test_pair_kind_window():
     assert wide.pair_kind(0, 1) is PairKind.UNIT_SUM
 
 
+@pytest.mark.parametrize("one_tol", [1e-9, 1e-5])
+@pytest.mark.parametrize("excess", [0.0, 0.5, 2.0, 1e3])
+def test_unit_sum_band_is_one_rule(one_tol, excess):
+    # pair_kind, the spectral pair weights and the causal tie draw one band
+    params = make_params([0.3, 0.7 + excess * one_tol], rho01=0.2, one_tol=one_tol)
+    unit = params.pair_kind(0, 1) is PairKind.UNIT_SUM
+    assert unit == (excess <= 1.0)
+    _, s, t = _pair_weights(params.H, one_tol)
+    assert (s[0, 1] == 1.0 and t[0, 1] == 0.5 * np.pi) == unit
+    half = make_params([0.5, 0.5 + excess * one_tol], rho01=0.2, one_tol=one_tol)
+    if half.pair_kind(0, 1) is PairKind.UNIT_SUM:
+        with pytest.raises(ValueError, match="unit-sum"):
+            special_case_eta(half, SpecialCase.CAUSAL)
+    else:
+        assert np.isfinite(special_case_eta(half, SpecialCase.CAUSAL).eta).all()
+
+
 def test_hurst_sum_and_index_check():
     params = make_params([0.3, 0.6])
     assert params.hurst_sum(0, 1) == 0.3 + 0.6
@@ -132,6 +152,13 @@ def test_dict_errors():
     payload = params_to_dict(make_params([0.3, 0.7]))
     payload["p"] = 3
     with pytest.raises(ValueError):
+        params_from_dict(payload)
+
+
+def test_dict_rejects_unknown_keys():
+    # a misspelt one_tol would otherwise fall back to the default silently
+    payload = {**params_to_dict(make_params([0.3, 0.7])), "one_tl": 0.1, "Eta": 0}
+    with pytest.raises(ValueError, match=r"\['Eta', 'one_tl'\]"):
         params_from_dict(payload)
 
 

@@ -173,8 +173,18 @@ def test_params_from_ma_brownian_weights():
     assert params.rho[0, 1] == pytest.approx(
         cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1]), rel=1e-13
     )
-    # cos(pi/2) is not 0 in floating point, so eta is tiny rather than exactly 0
-    assert np.allclose(params.eta, 0.0, rtol=0, atol=1e-15)
+    # the row phase is exactly (0, 1) at H = 1/2, so eta is exactly 0
+    assert np.array_equal(params.eta, np.zeros((2, 2)))
+
+
+def test_params_from_ma_half_exponent_is_brownian():
+    # forward weights alone at H = 1/2: a Brownian motion mixed by M
+    mix = np.array([[1.5, 0.4, -0.5], [-0.7, 1.1, 0.55], [0.35, 0.6, 0.5]])
+    params = params_from_ma(
+        MovingAveragePair(m_plus=mix, m_minus=np.zeros((3, 3))), [0.5, 0.5, 0.5]
+    )
+    assert np.array_equal(params.eta, np.zeros((3, 3)))
+    np.testing.assert_allclose(params.sigma**2, np.diag(mix @ mix.T), rtol=1e-15, atol=0)
 
 
 def test_well_balanced_ties_moving_averages(rng):

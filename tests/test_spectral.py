@@ -60,6 +60,14 @@ def test_density_rejects_zero_frequency_and_bad_delta():
         cross_spectral_density(GENERIC, 0, 1, 1.0, delta=0.0)
 
 
+@pytest.mark.parametrize("delta", [np.inf, np.nan])
+def test_density_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="positive and finite"):
+        cross_spectral_density(GENERIC, 0, 1, 1.0, delta=delta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        low_frequency_modulus(GENERIC, 0, 1, 1.0, delta=delta)
+
+
 def test_density_hermitian_in_components_and_frequency():
     omegas = np.array([-2.0, -0.5, 0.3, 1.7])
     for params in (GENERIC, UNIT_SUM):
