@@ -17,6 +17,7 @@ other steps. Integrated paths are cumulative sums with a leading zero.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -41,6 +42,7 @@ __all__ = [
     "build_plan",
     "simulate",
     "SamplePath",
+    "Ensemble",
     "default_embedding_order",
     "toeplitz_covariance",
     "dense_oracle_simulate",
@@ -175,6 +177,37 @@ class SamplePath:
         self.values.setflags(write=False)
 
 
+@dataclass(frozen=True)
+class Ensemble(Sequence):
+    """One run: read-only values of shape (R, rows, p) and one meta record.
+
+    rows is n, or n + 1 for integrated paths (leading zero row). Item r
+    is SamplePath(values[r], r, meta), a row view sharing the one meta
+    dict; a slice gives a list. A kept item keeps the whole array alive.
+    """
+
+    values: np.ndarray
+    integrate: bool
+    meta: dict[str, Any]
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        rows = range(len(self.values))[index]  # IndexError, negatives, slices
+        if isinstance(rows, range):
+            return [self[r] for r in rows]
+        return SamplePath(self.values[rows], rows, self.meta)
+
+    @property
+    def increments(self) -> np.ndarray:
+        """values itself, or one np.diff of it along time when integrated."""
+        return np.diff(self.values, axis=1) if self.integrate else self.values
+
+
 def _half_generator(params: MfbmParams, m: int, n: int) -> np.ndarray:
     """Generator blocks for lags 0..m/2, the fold block symmetrized.
 
@@ -297,17 +330,15 @@ def _replicate_rng(seed: int, replicate: int, stream: int = 0) -> Generator:
 
 def simulate(
     plan: CirculantPlan, config: SimulationConfig, integrate: bool = False
-) -> list[SamplePath]:
+) -> Ensemble:
     """Draw config.replicates paths from the factored embedding.
 
-    Returns increment paths of shape (n, p), or integrated paths of
-    shape (n+1, p) starting at zero when integrate is set. Only the
+    Returns one Ensemble of read-only values, shape (R, n, p) of
+    increments or (R, n+1, p) of integrated paths starting at zero when
+    integrate is set, with one meta dict recording the run. Only the
     frequencies 0..m/2 are colored; hfft of that Hermitian half equals
     the real part of the full complex FFT, so the paths are real by
-    construction. Path r's values are row r of one read-only (R, rows, p)
-    ensemble, which ensemble_from_paths returns uncopied; a kept path
-    keeps the whole ensemble alive, so .copy() its values to keep them
-    alone.
+    construction.
     """
     m, p, n = plan.m, plan.params.p, config.n
     if n > plan.n:
@@ -336,16 +367,12 @@ def simulate(
             np.cumsum(x, axis=0, out=ens[r, 1:])
         else:
             ens[r] = x
-    ens.setflags(write=False)
-    return [
-        SamplePath(values=ens[r], replicate=r, meta={
-            "n": n, "m": m, "seed": config.seed, "replicates": config.replicates,
-            "eig_policy": config.eig_policy.value, "integrate": integrate,
-            "replicate": r, "exact": plan.exact, "truncated_mass": plan.truncated_mass,
-            "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate,))",
-        })
-        for r in range(config.replicates)
-    ]
+    return Ensemble(ens, integrate, {
+        "n": n, "m": m, "seed": config.seed, "replicates": config.replicates,
+        "eig_policy": config.eig_policy.value, "integrate": integrate,
+        "exact": plan.exact, "truncated_mass": plan.truncated_mass,
+        "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate,))",
+    })
 
 
 def toeplitz_covariance(params: MfbmParams, n: int) -> np.ndarray:
@@ -356,22 +383,21 @@ def toeplitz_covariance(params: MfbmParams, n: int) -> np.ndarray:
     """
     p = params.p
     gam = lag_block_array(params, np.arange(n), 1.0)
-    full = np.empty((n * p, n * p))
-    for s in range(n):
-        for t in range(n):
-            block = gam[t - s] if t >= s else gam[s - t].T
-            full[s * p : (s + 1) * p, t * p : (t + 1) * p] = block
-    return full
+    back = np.subtract.outer(np.arange(n), np.arange(n))  # s - t at block (s, t)
+    blocks = gam[np.abs(back)]
+    blocks[back > 0] = _transpose(blocks[back > 0])
+    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
 
 
 def dense_oracle_simulate(
     params: MfbmParams, n: int, seed: int = 0, replicates: int = 1
-) -> list[SamplePath]:
+) -> Ensemble:
     """Reference sampler: dense Cholesky of the full increment covariance.
 
-    Quadratic-size and cubic-time; capped at n = 64. Substreams are
-    disjoint from the circulant sampler's, so the two ensembles are
-    independent even at equal seeds.
+    Quadratic-size and cubic-time; capped at n = 64. Returns an Ensemble
+    of (R, n, p) increments, like simulate. Substreams are disjoint from
+    the circulant sampler's, so the two ensembles are independent even
+    at equal seeds.
     """
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense oracle is capped at n = {DENSE_ORACLE_MAX_N}")
@@ -383,24 +409,12 @@ def dense_oracle_simulate(
             "dense covariance is numerically indefinite"
         ) from None
     p = params.p
-    out = []
+    ens = np.empty((replicates, n, p))
     for r in range(replicates):
-        rng = _replicate_rng(seed, r, stream=1)
-        eps = rng.standard_normal(n * p)
-        values = (chol @ eps).reshape(n, p)
-        out.append(
-            SamplePath(
-                values=values,
-                replicate=r,
-                meta={
-                    "n": n,
-                    "seed": seed,
-                    "replicate": r,
-                    "exact": shift == 0.0,
-                    "oracle": "dense cholesky",
-                    "diag_shift": shift,
-                    "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate, 1))",
-                },
-            )
-        )
-    return out
+        eps = _replicate_rng(seed, r, stream=1).standard_normal(n * p)
+        ens[r] = (chol @ eps).reshape(n, p)
+    return Ensemble(ens, False, {
+        "n": n, "seed": seed, "exact": shift == 0.0, "oracle": "dense cholesky",
+        "diag_shift": shift,
+        "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate, 1))",
+    })

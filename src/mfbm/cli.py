@@ -20,6 +20,7 @@ import numpy as np
 
 from .circulant import (
     CirculantEmbeddingError,
+    Ensemble,
     SimulationConfig,
     build_plan,
     simulate,
@@ -307,9 +308,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"no path files found under {args.paths}")
     if len(integrated_flags) != 1:
         raise ValueError("mixed integrated and increment path files")
-    values = np.stack(ensembles)
-    if integrated_flags.pop():
-        values = np.diff(values, axis=1)
+    values = Ensemble(np.stack(ensembles), integrated_flags.pop(), {}).increments
     comparisons, summary = compare_report(values, params, lags, delta=args.delta)
     rows = [
         [c.i, c.j, c.h, *map(_fmt, (c.delta, c.empirical, c.theoretical, c.stderr, c.z)),

@@ -217,11 +217,11 @@ def params_from_ma(ma: MovingAveragePair, H, one_tol: float = 1e-9) -> MfbmParam
     sigma = np.sqrt(var)
     c = q / np.outer(sigma, sigma)
     rho, eta = c.real / s, -c.imag / t
-    # keep each pair i < j and mirror it: rho symmetric, eta antisymmetric
+    # mirror each pair i < j: rho symmetric, eta antisymmetric, + 0.0 unsigns zeros
     lower = np.tri(H.shape[0], k=-1, dtype=bool)
     rho[lower], eta[lower] = rho.T[lower], -eta.T[lower]
     rho.flat[:: H.shape[0] + 1], eta.flat[:: H.shape[0] + 1] = 1.0, 0.0
-    return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta, one_tol=one_tol)
+    return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta + 0.0, one_tol=one_tol)
 
 
 def special_case_eta(params: MfbmParams, case: SpecialCase) -> MfbmParams:

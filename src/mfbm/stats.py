@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circulant import SamplePath
+from .circulant import Ensemble, SamplePath
 from .covariance import increment_covariance
 from .params import MfbmParams
 
@@ -65,18 +65,17 @@ class ReportSummary:
 
 
 def ensemble_from_paths(paths: Iterable[SamplePath]) -> np.ndarray:
-    """Stack replicates into (R, n, p) of increments.
+    """The (R, n, p) increments of an ensemble, or of a list of paths.
 
-    Integrated paths (leading zero row, flagged in meta) are differenced
-    back to increments so downstream estimators see one representation.
-    Paths that are rows 0..R-1, in order, of one read-only (R, rows, p)
-    array, as simulate returns them, come back as that array itself, not
-    a copy (integrated ones as one diff of it); any other list is stacked.
+    An Ensemble, as simulate and dense_oracle_simulate return it, gives
+    its increments: its read-only values array itself, uncopied, or one
+    difference of it when integrated. Any other iterable of paths is
+    stacked; a path flagged integrate in its meta (leading zero row) is
+    differenced back to increments first, so downstream estimators see
+    one representation.
     """
-    paths = list(paths)
-    base = _shared_ensemble(paths) if paths else None
-    if base is not None:
-        return np.diff(base, axis=1) if paths[0].meta.get("integrate") else base
+    if isinstance(paths, Ensemble):
+        return paths.increments
     arrays = [
         np.diff(path.values, axis=0) if path.meta.get("integrate") else path.values
         for path in paths
@@ -87,22 +86,6 @@ def ensemble_from_paths(paths: Iterable[SamplePath]) -> np.ndarray:
     if out.ndim != 3:
         raise ValueError("paths must be matrices of equal shape")
     return out
-
-
-def _shared_ensemble(paths: list[SamplePath]) -> np.ndarray | None:
-    """The read-only (R, rows, p) array whose rows 0..R-1 are the paths'
-    values, in order and with one integrate flag; else None."""
-    base = paths[0].values.base
-    if not (isinstance(base, np.ndarray) and base.ndim == 3
-            and len(base) == len(paths) and not base.flags.writeable):
-        return None
-    flag = paths[0].meta.get("integrate")
-    for row, path in zip(base, paths):
-        values = path.values
-        if (values.base is not base or path.meta.get("integrate") != flag
-                or values.__array_interface__ != row.__array_interface__):
-            return None
-    return base
 
 
 def replicate_mean_stderr(values) -> tuple[np.ndarray, np.ndarray]:

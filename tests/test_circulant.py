@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mfbm import (
     CirculantEmbeddingError,
     EigPolicy,
+    Ensemble,
     SimulationConfig,
     build_plan,
     default_embedding_order,
@@ -242,10 +243,27 @@ def test_simulate_meta_records_run(rng):
     assert meta["n"] == 5
     assert meta["m"] == plan.m
     assert meta["seed"] == 3
-    assert meta["replicate"] == 1 and path.replicate == 1
+    assert path.replicate == 1
     assert meta["eig_policy"] == "grow"
     assert meta["integrate"] is True
     assert meta["exact"] is True
+
+
+def test_simulate_returns_one_ensemble_with_one_record(rng):
+    params = random_admissible(rng, 2)
+    config = SimulationConfig(n=6, replicates=3, seed=4)
+    paths = simulate(build_plan(params, config), config)
+    assert isinstance(paths, Ensemble)
+    assert len(paths) == 3 and len(list(paths)) == 3
+    assert paths[0].meta is paths[-1].meta is paths.meta
+    assert "replicate" not in paths.meta
+    assert paths[-1].replicate == 2 and paths[np.int64(1)].replicate == 1
+    assert np.array_equal(paths[-1].values, paths.values[2])
+    assert [path.replicate for path in paths[::-2]] == [2, 0]
+    with pytest.raises(IndexError):
+        paths[3]
+    with pytest.raises(IndexError):
+        paths[-4]
 
 
 def test_simulate_rejects_config_longer_than_plan(rng):
@@ -316,7 +334,13 @@ def test_toeplitz_covariance_structure(rng):
     assert full.shape == (12, 12)
     assert np.allclose(full, full.T, rtol=0, atol=1e-15)
     assert np.linalg.eigvalsh(full).min() > -1e-10 * full.max()
-    assert np.allclose(full[0:2, 8:10], lag_block_array(params, [4])[0], atol=1e-15)
+    # every (s, t) block, against the block-by-block definition
+    for n in (1, 2, 6):
+        dense = toeplitz_covariance(params, n)
+        gam = lag_block_array(params, np.arange(n))
+        for s, t in np.ndindex(n, n):
+            block = gam[t - s] if t >= s else gam[s - t].T
+            assert np.array_equal(dense[2 * s : 2 * s + 2, 2 * t : 2 * t + 2], block)
 
 
 def test_dense_oracle_caps_length_and_reproduces(rng):
@@ -330,6 +354,9 @@ def test_dense_oracle_caps_length_and_reproduces(rng):
     for a, b in zip(first, again):
         assert np.array_equal(a.values, b.values)
     assert not np.array_equal(first[0].values, first[1].values)
+    assert isinstance(first, Ensemble) and not first.integrate
+    assert first[0].meta is first[1].meta is first.meta
+    assert [path.replicate for path in first] == [0, 1]
 
 
 def test_dense_oracle_reports_ridge_as_inexact(rng):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mfbm import (
     KernelRegime,
     KernelSide,
     KernelSpec,
+    dump_params,
     is_time_reversible,
     limit_target,
     load_kernel_spec,
@@ -254,7 +256,7 @@ FROZEN_TARGETS = [
 
 
 @pytest.mark.parametrize("grid, m_plus, m_minus, sigma, rho, eta", FROZEN_TARGETS)
-def test_limit_target_frozen(grid, m_plus, m_minus, sigma, rho, eta):
+def test_limit_target_frozen(grid, m_plus, m_minus, sigma, rho, eta, tmp_path):
     target = limit_target(grid())
     upper = np.triu_indices(target.params.p, 1)
     assert np.array_equal(target.m_plus, m_plus)
@@ -262,6 +264,11 @@ def test_limit_target_frozen(grid, m_plus, m_minus, sigma, rho, eta):
     np.testing.assert_allclose(target.params.sigma, sigma, rtol=1e-14, atol=0)
     np.testing.assert_allclose(target.params.rho[upper], rho, rtol=1e-14, atol=0)
     np.testing.assert_allclose(target.params.eta[upper], eta, rtol=1e-14, atol=0)
+    # a zero eta entry carries no sign, in either triangle or in the file
+    zeros = target.params.eta == 0.0
+    assert not np.signbit(target.params.eta[zeros]).any()
+    dump_params(target.params, tmp_path / "limit.json")
+    assert not re.search(r"-0\.0(?!\d)", (tmp_path / "limit.json").read_text())
 
 
 def test_all_summable_limit_is_time_reversible():

@@ -184,11 +184,18 @@ def increments(path):
 def test_ensemble_from_paths_returns_simulate_buffer_uncopied():
     paths = simulated_paths(integrate=False)
     out = ensemble_from_paths(paths)
-    assert out.shape == (4, 9, 2)
+    assert out is paths.values and out.shape == (4, 9, 2)
     assert all(np.shares_memory(out, path.values) for path in paths)
     assert np.array_equal(out, np.stack([path.values for path in paths]))
     with pytest.raises(ValueError):
         out[0, 0, 0] = 1.0
+
+
+def test_ensemble_from_paths_returns_dense_oracle_values_uncopied():
+    params = make_params([0.3, 0.7], rho01=0.3, eta01=0.1)
+    paths = dense_oracle_simulate(params, n=8, seed=2, replicates=3)
+    assert paths[0].meta is paths[2].meta is paths.meta
+    assert ensemble_from_paths(paths) is paths.values
 
 
 def test_ensemble_from_paths_differences_integrated_paths():
@@ -215,15 +222,19 @@ def mixed(paths):
 @pytest.mark.parametrize(
     "pick",
     [
+        list,
         lambda ps: ps[::-1],
         lambda ps: ps[1:],
         lambda ps: ps[:1] * len(ps),
-        lambda ps: ps + simulated_paths(integrate=False, seed=6),
+        lambda ps: list(ps) + list(simulated_paths(integrate=False, seed=6)),
         hand_built,
         rows_of_writable_array,
         mixed,
     ],
-    ids=["reversed", "sliced", "repeated", "two-runs", "hand-built", "writable", "mixed"],
+    ids=[
+        "listed", "reversed", "sliced", "repeated", "two-runs", "hand-built", "writable",
+        "mixed",
+    ],
 )
 def test_ensemble_from_paths_stacks_any_other_list(pick):
     paths = pick(simulated_paths(integrate=False))
