@@ -119,7 +119,7 @@ class CirculantEmbeddingError(RuntimeError):
     """Embedding blocks are not PSD and the policy forbids proceeding."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CirculantPlan:
     """Frozen factorization shared by all replicates of a run.
 
@@ -165,7 +165,7 @@ class CirculantPlan:
         return _unfold(self.eigenvalues_half, self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePath:
     """One simulated replicate with its provenance."""
 
@@ -177,7 +177,7 @@ class SamplePath:
         self.values.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble(Sequence):
     """One run: read-only values of shape (R, rows, p) and one meta record.
 

@@ -25,7 +25,7 @@ from .circulant import (
     build_plan,
     simulate,
 )
-from .covariance import lag_block_array, mfbm_covariance
+from .covariance import _blocks, _increments, lag_block_array
 from .existence import (
     SpecialCase,
     admissible_boundary,
@@ -130,14 +130,10 @@ def _cmd_covariance(args) -> int:
 def _cmd_spectrum(args) -> int:
     params = _load_valid_params(args.params)
     omegas = _omega_array(_parse_grid(args.omegas), args.delta)
-    p = params.p
     q = admissibility_matrix(params)
-    dens = np.empty((omegas.shape[0], p, p), dtype=complex)
-    coh = np.ones((p, p))
-    for i, j in np.ndindex(p, p):
-        dens[:, i, j] = _density(params, q, i, j, omegas, args.delta)
-        if i != j:
-            coh[i, j] = _coherence(q, i, j)
+    i, j = np.indices((params.p, params.p))
+    dens = _density(params, q, i, j, omegas, args.delta).transpose(2, 0, 1)
+    coh = _coherence(q)
     rows = [
         [i, j, _fmt(omegas[k]), _fmt(args.delta), _fmt(s.real), _fmt(s.imag), _fmt(coh[i, j])]
         for (k, i, j), s in np.ndenumerate(dens)
@@ -328,10 +324,9 @@ def _cmd_limits(args) -> int:
     spec = load_kernel_spec(args.kernels)
     params = limit_target(spec).params
     taus = _parse_grid(args.taus)
-    p = spec.p
-    target = np.empty((taus.shape[0], p, p))
-    for i, j in np.ndindex(p, p):
-        target[:, i, j] = mfbm_covariance(params, i, j, taus, taus)
+    # X(0) = 0: the covariance of X_i(tau), X_j(tau) is that of the steps
+    # of length tau over [0, tau], at lag 0
+    target = _blocks(_increments, params, np.zeros_like(taus), taus)
     rows = []
     for n in _parse_int_grid(args.n_grid):
         vals = simulate_partial_sums(

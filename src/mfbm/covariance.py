@@ -1,14 +1,14 @@
 """Closed-form covariances of mfBm and of its increment process.
 
-Everything here reduces to the pair structure function: the process
-covariance, the stationary increment cross-covariance at any lag, the
-per-lag coefficient blocks, and the power-law tail constant.
+One pair rule, ``_structure``, gives the structure function of many pairs
+at once from pair arrays (a = H_i + H_j, rho, eta, ``params._unit_sum``).
+Covariances, lag blocks and tail constants read it, for one pair or all.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .params import MfbmParams, PairKind
+from .params import MfbmParams, _unit_sum
 
 __all__ = [
     "structure_function",
@@ -19,6 +19,62 @@ __all__ = [
     "is_time_reversible",
 ]
 
+# Lags per pass of _blocks: 1.6 MB a temporary at p = 5, so a pass stays in
+# cache. Rows this long also keep numpy's power loop on its per-row fast path
+# (sqrt at a = 1/2), as for one pair; shorter grids may take pow, an ulp away.
+_CHUNK = 8192
+
+
+def _pairs(params: MfbmParams, i, j):
+    """a = H_i + H_j, rho, eta and the unit-sum flags at the pairs (i, j)."""
+    a = params.H[i] + params.H[j]
+    return a, params.rho[i, j], params.eta[i, j], _unit_sum(a, params.one_tol)
+
+
+def _structure(params: MfbmParams, i, j, h: np.ndarray) -> np.ndarray:
+    """Structure function of the pairs (i[k], j[k]) at the 1-D lags h, shape
+    (len(i), len(h)); each branch is evaluated on its own pairs only."""
+    a, rho, eta, unit = _pairs(params, i, j)
+    absh, g = np.abs(h), ~unit
+    out = np.empty((len(a), len(h)))
+    out[g] = (rho[g, None] - eta[g, None] * np.sign(h)) * absh ** a[g, None]
+    if unit.any():
+        # where() both-branch evaluation would hit log(0); mask first.
+        safe = np.where(absh > 0.0, absh, 1.0)
+        out[unit] = rho[unit, None] * absh + eta[unit, None] * h * np.log(safe)
+    return out
+
+
+def _increments(params: MfbmParams, i, j, h: np.ndarray, delta) -> np.ndarray:
+    """Increment covariance of the pairs (i[k], j[k]) at 1-D lags h, steps delta."""
+    w = lambda x: _structure(params, i, j, x)
+    half = (0.5 * params.sigma[i] * params.sigma[j])[:, None]
+    return half * (w(h - delta) - 2.0 * w(h) + w(h + delta))
+
+
+def _on_pair(rule, params: MfbmParams, i: int, j: int, h, *args):
+    """rule of the one pair (i, j) at h of any shape; a float for a scalar h."""
+    params.hurst_sum(i, j)  # IndexError on an out-of-range component
+    h = np.asarray(h, dtype=float)
+    out = rule(params, [i], [j], h.ravel(), *args)[0].reshape(h.shape)
+    return out if out.ndim else float(out)
+
+
+def _blocks(rule, params: MfbmParams, *arrays) -> np.ndarray:
+    """rule of all p*p pairs over 1-D arrays of one length n, as (n, p, p) blocks."""
+    p, n = params.p, len(arrays[0])
+    i, j = np.divmod(np.arange(p * p), p)
+    out = np.empty((n, p, p))
+    for part in np.array_split(np.arange(n), max(1, n // _CHUNK)):
+        rows = rule(params, i, j, *(x[part] for x in arrays))
+        out[part] = rows.reshape(p, p, len(part)).transpose(2, 0, 1)
+    return out
+
+
+def _check_step(delta: float) -> None:
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+
 
 def structure_function(params: MfbmParams, i: int, j: int, h) -> np.ndarray | float:
     """Pair structure function of (i, j) at lag h, vectorized over h.
@@ -26,19 +82,7 @@ def structure_function(params: MfbmParams, i: int, j: int, h) -> np.ndarray | fl
     Generic pairs: (rho - eta*sign(h)) * |h|^(H_i+H_j).
     Unit-sum pairs: rho*|h| + eta*h*log|h|, with 0*log(0) := 0.
     """
-    kind = params.pair_kind(i, j)
-    h = np.asarray(h, dtype=float)
-    rho = params.rho[i, j]
-    eta = params.eta[i, j]
-    absh = np.abs(h)
-    if kind is PairKind.UNIT_SUM:
-        # where() both-branch evaluation would hit log(0); mask first.
-        safe = np.where(absh > 0.0, absh, 1.0)
-        out = rho * absh + eta * h * np.log(safe)
-    else:
-        alpha = params.hurst_sum(i, j)
-        out = (rho - eta * np.sign(h)) * absh**alpha
-    return out if out.ndim else float(out)
+    return _on_pair(_structure, params, i, j, h)
 
 
 def mfbm_covariance(params: MfbmParams, i: int, j: int, s, t) -> np.ndarray | float:
@@ -49,12 +93,8 @@ def mfbm_covariance(params: MfbmParams, i: int, j: int, s, t) -> np.ndarray | fl
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    half = 0.5 * params.sigma[i] * params.sigma[j]
-    out = half * (
-        structure_function(params, i, j, -s)
-        + structure_function(params, i, j, t)
-        - structure_function(params, i, j, t - s)
-    )
+    w = lambda x: structure_function(params, i, j, x)
+    out = 0.5 * params.sigma[i] * params.sigma[j] * (w(-s) + w(t) - w(t - s))
     return out if np.ndim(out) else float(out)
 
 
@@ -67,13 +107,8 @@ def increment_covariance(
     component j at time t + h; positive h means component j lags behind.
     Equals a centered second difference of the structure function.
     """
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    h = np.asarray(h, dtype=float)
-    w = lambda x: structure_function(params, i, j, x)
-    half = 0.5 * params.sigma[i] * params.sigma[j]
-    out = half * (w(h - delta) - 2.0 * w(h) + w(h + delta))
-    return out if np.ndim(out) else float(out)
+    _check_step(delta)
+    return _on_pair(_increments, params, i, j, h, delta)
 
 
 def lag_block_array(params: MfbmParams, hs, delta: float = 1.0) -> np.ndarray:
@@ -82,13 +117,9 @@ def lag_block_array(params: MfbmParams, hs, delta: float = 1.0) -> np.ndarray:
     Entry [k, i, j] pairs the step of component i with that of component
     j at lag hs[k]; a single lag h is lag_block_array(params, [h])[0].
     """
+    _check_step(delta)
     hs = np.asarray(hs, dtype=float)
-    p = params.p
-    out = np.empty((hs.shape[0], p, p))
-    for i in range(p):
-        for j in range(p):
-            out[:, i, j] = increment_covariance(params, i, j, hs, delta)
-    return out
+    return _blocks(_increments, params, hs, np.full(hs.shape, float(delta)))
 
 
 def covariance_tail_constant(params: MfbmParams, i: int, j: int, sign_h: int) -> float:
@@ -102,13 +133,10 @@ def covariance_tail_constant(params: MfbmParams, i: int, j: int, sign_h: int) ->
     """
     if sign_h not in (-1, 1):
         raise ValueError(f"sign_h must be -1 or +1, got {sign_h}")
-    kind = params.pair_kind(i, j)
-    if kind is PairKind.UNIT_SUM:
-        return float(0.5 * params.eta[i, j] * sign_h)
-    alpha = params.hurst_sum(i, j)
-    return float(
-        0.5 * (params.rho[i, j] - params.eta[i, j] * sign_h) * alpha * (alpha - 1.0)
-    )
+    params.hurst_sum(i, j)  # IndexError on an out-of-range component
+    a, rho, eta, unit = _pairs(params, i, j)
+    generic = 0.5 * (rho - eta * sign_h) * a * (a - 1.0)
+    return float(np.where(unit, 0.5 * eta * sign_h, generic))
 
 
 def is_time_reversible(params: MfbmParams) -> bool:

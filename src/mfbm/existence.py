@@ -68,7 +68,7 @@ def check_admissibility(params: MfbmParams, psd_tol: float = 1e-10) -> Admissibi
     q = admissibility_matrix(params)
     eigenvalues = np.linalg.eigvalsh(q)
     threshold = psd_tol * float(np.max(np.abs(q)))
-    c12 = _coherence(q, 0, 1) if params.p == 2 else None
+    c12 = float(_coherence(q)[0, 1]) if params.p == 2 else None
     return AdmissibilityReport(
         admissible=bool(eigenvalues[0] >= -threshold),
         min_eigenvalue=float(eigenvalues[0]),

@@ -203,7 +203,7 @@ def realize_kernel(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitTarget:
     """Limiting mfBm of the normalized partial sums.
 

@@ -44,7 +44,7 @@ class CovarianceExistenceError(ValueError):
     """Raised when parameters do not define a legitimate covariance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralFactor:
     """Complex factor A with A A* equal to the Gram target.
 
@@ -59,7 +59,7 @@ class SpectralFactor:
         self.matrix.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MovingAveragePair:
     """Real matrices weighting the forward (+) and reverse (-) kernels."""
 
@@ -124,7 +124,7 @@ def spectral_factor_p2(params: MfbmParams) -> SpectralFactor:
     if params.p != 2:
         raise ValueError("closed-form factor is specific to p = 2")
     q = admissibility_matrix(params)
-    c = _coherence(q, 0, 1)
+    c = _coherence(q)[0, 1]
     if c > 1.0 + 1e-12:
         raise CovarianceExistenceError(
             f"pair coherence {c:.6f} exceeds 1; no valid covariance exists"

@@ -108,13 +108,15 @@ def cross_spectral_density(
     return out if out.ndim else complex(out)
 
 
-def _density(params: MfbmParams, q: np.ndarray, i: int, j: int, omega, delta):
-    """S_{i,j} on a checked omega array, read off a built admissibility matrix q."""
+def _density(params: MfbmParams, q: np.ndarray, i, j, omega, delta):
+    """S_{i,j} on a checked omega array, read off a built admissibility matrix q;
+    for index arrays (i, j) and a 1-D omega, the pair axes first, omega last."""
+    col = lambda x: x[..., None] if np.ndim(x) else x
     return (
-        (params.sigma[i] * params.sigma[j] / np.pi)
-        * np.where(omega > 0.0, q[i, j], q[i, j].conjugate())
+        col(params.sigma[i] * params.sigma[j] / np.pi)
+        * np.where(omega > 0.0, col(q[i, j]), col(q[i, j].conjugate()))
         * (1.0 - np.cos(omega * delta))
-        / np.abs(omega) ** (params.hurst_sum(i, j) + 1.0)
+        / np.abs(omega) ** col(params.H[i] + params.H[j] + 1.0)
     )
 
 
@@ -145,9 +147,12 @@ def coherence(params: MfbmParams, i: int, j: int) -> float:
     if i == j:
         raise ValueError("coherence of a component with itself is trivially 1")
     params.hurst_sum(i, j)  # IndexError on an out-of-range component
-    return _coherence(admissibility_matrix(params), i, j)
+    return float(_coherence(admissibility_matrix(params))[i, j])
 
 
-def _coherence(q: np.ndarray, i: int, j: int) -> float:
-    """|q_ij|^2 / (q_ii q_jj) read off a built admissibility matrix q."""
-    return float(abs(q[i, j]) ** 2 / (q[i, i].real * q[j, j].real))
+def _coherence(q: np.ndarray) -> np.ndarray:
+    """|q_ij|^2 / (q_ii q_jj) of every pair; 1 on the diagonal, where q is real.
+    hypot rounds as the scalar abs() does; numpy's complex abs of an array
+    can differ from it by an ulp."""
+    d = q.diagonal().real
+    return np.hypot(q.real, q.imag) ** 2 / np.outer(d, d)

@@ -266,6 +266,22 @@ def test_simulate_returns_one_ensemble_with_one_record(rng):
         paths[-4]
 
 
+def test_plans_paths_and_ensembles_compare_by_identity():
+    # a dataclass __eq__ over array fields raises "truth value ... is
+    # ambiguous" from ==, `in`, .count and .index; these compare by identity
+    params = make_params([0.3])
+    config = SimulationConfig(n=4, replicates=2)
+    plan_a, plan_b = build_plan(params, config), build_plan(params, config)
+    e, e2 = simulate(plan_a, config), simulate(plan_b, config)
+    assert (plan_a == plan_b, plan_a == plan_a) == (False, True)
+    assert (e == e2, e == e, e[0] == e2[0]) == (False, True, False)
+    # items are fresh row views, so none is found in the sequence
+    assert (e[0] in e, e.count(e[0])) == (False, 0)
+    with pytest.raises(ValueError) as missing:
+        e.index(e[0])
+    assert "ambiguous" not in str(missing.value)
+
+
 def test_simulate_rejects_config_longer_than_plan(rng):
     params = random_admissible(rng, 2)
     plan = build_plan(params, SimulationConfig(n=10))

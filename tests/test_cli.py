@@ -388,6 +388,26 @@ def test_limits_subcommand(kernels_file, tmp_path):
     )
 
 
+def test_limits_target_rows_match_scalar_covariance(tmp_path):
+    # the target column is printed from one all-pairs evaluation; it must
+    # equal the per-pair closed form, tau = 0 included
+    cell = {"regime": "power_pos", "alpha": 1.0, "d": 0.2}
+    cross = {"regime": "power_pos", "alpha": -0.6, "d": 0.2}
+    kernels = tmp_path / "k2.json"
+    kernels.write_text(json.dumps({"plus": [[cell, cross], [None, cell]],
+                                   "minus": [[None, None], [cross, None]]}))
+    out = tmp_path / "limits.csv"
+    argv = ["limits", "--kernels", str(kernels), "--n-grid", "16",
+            "--taus", "0,0.25,1", "--replicates", "5", "--out", str(out)]
+    assert main(argv) == 0
+    params = limit_target(load_kernel_spec(kernels)).params
+    rows = read_csv(out)
+    assert len(rows) == 3 * 4
+    for row in rows:
+        i, j, tau = int(row["component_i"]), int(row["component_j"]), float(row["tau"])
+        assert row["target_cov"] == "%.12g" % mfbm_covariance(params, i, j, tau, tau)
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_limits_rejects_nonpositive_replicates(kernels_file, capsys, count):
     argv = ["limits", "--kernels", kernels_file, "--n-grid", "8", "--replicates", count]

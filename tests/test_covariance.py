@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfbm import (
+    MfbmParams,
     covariance_tail_constant,
     increment_covariance,
     is_time_reversible,
@@ -140,6 +143,17 @@ def test_joint_self_similarity(lam, s, t):
             assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
 
+def _math_structure(params, i, j, h):
+    # the paper's pair structure function, one float at a time
+    h = float(h)
+    a = float(params.H[i]) + float(params.H[j])
+    rho, eta = float(params.rho[i, j]), float(params.eta[i, j])
+    if abs(a - 1.0) <= params.one_tol:
+        return rho * abs(h) + (eta * h * math.log(abs(h)) if h != 0.0 else 0.0)
+    sign = (h > 0.0) - (h < 0.0)
+    return (rho - eta * sign) * math.pow(abs(h), a)
+
+
 def test_lag_block_matches_pointwise():
     block = lag_block_array(GENERIC, [2.5], delta=0.5)[0]
     assert block.shape == (2, 2)
@@ -147,6 +161,31 @@ def test_lag_block_matches_pointwise():
         for j in range(2):
             want = increment_covariance(GENERIC, i, j, np.array([2.5]), 0.5)[0]
             assert block[i, j] == want
+    # every branch against a reference written with the math module: a
+    # generic pair (0, 1), a unit-sum pair (0, 4) inside one_tol whose sum
+    # is not exactly 1, and diagonals with a = 1 (H = 1/2) and a = 1/2
+    H = [0.3, 0.6, 0.25, 0.5, 0.7 + 3e-10]
+    assert 0.0 < abs(H[0] + H[4] - 1.0) <= 1e-9
+    rng = np.random.default_rng(17)
+    rho, eta = np.eye(5), np.zeros((5, 5))
+    upper = np.triu_indices(5, 1)
+    rho[upper] = rng.uniform(-0.5, 0.5, size=10)
+    eta[upper] = rng.uniform(-0.3, 0.3, size=10)
+    params = MfbmParams(
+        H=H, sigma=rng.uniform(0.5, 2.0, size=5), rho=rho + np.triu(rho, 1).T,
+        eta=eta - eta.T,
+    )
+    hs = np.array([-64.0, -7.5, -1.0, -0.37, 0.0, 0.37, 1.0, 2.5, 63.63, 64.0])
+    for delta in (1.0, 0.37):
+        blocks = lag_block_array(params, hs, delta)
+        for (k, i, j), got in np.ndenumerate(blocks):
+            w = [_math_structure(params, i, j, hs[k] + d) for d in (-delta, 0.0, delta)]
+            half = 0.5 * params.sigma[i] * params.sigma[j]
+            want = half * (w[0] - 2.0 * w[1] + w[2])
+            scale = half * max(map(abs, w))
+            assert abs(got - want) <= 1e-12 * scale
+            pointwise = increment_covariance(params, i, j, hs[k], delta)
+            assert abs(pointwise - want) <= 1e-12 * scale
 
 
 def test_lag_block_array_shape_and_values():

@@ -96,3 +96,11 @@ def test_package_reads_every_private_name():
         if (stem, name) not in traced
     }
     assert not dead, f"private names never read in the package: {sorted(dead)}"
+
+
+def test_pair_rule_modules_never_read_pair_kind():
+    # covariance, spectral and the CLI evaluate pairs as arrays; the
+    # unit-sum decision comes from params._unit_sum alone
+    for stem in ("covariance", "spectral", "cli"):
+        names = referenced_names((PACKAGE / f"{stem}.py").read_text())
+        assert not names & {"PairKind", "pair_kind"}, stem

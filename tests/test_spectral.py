@@ -9,9 +9,13 @@ from mfbm import (
     PairKind,
     admissibility_matrix,
     coherence,
+    covariance_tail_constant,
     cross_spectral_density,
+    increment_covariance,
     low_frequency_modulus,
+    mfbm_covariance,
     spectral_coeff,
+    structure_function,
 )
 from mfbm.spectral import _gamma
 from conftest import make_params, random_admissible
@@ -140,7 +144,8 @@ def test_gamma_matches_scipy():
 
 
 def test_component_index_out_of_range_raises():
-    # a negative index would wrap silently in a bare q[i, j]
+    # a negative index would wrap silently in a bare q[i, j], and in the
+    # p x p pair arrays of the covariance functions
     for i, j in ((0, 2), (2, 0), (-1, 0), (0, -1), (1, -2)):
         with pytest.raises(IndexError):
             spectral_coeff(GENERIC, i, j, +1)
@@ -150,6 +155,14 @@ def test_component_index_out_of_range_raises():
             low_frequency_modulus(GENERIC, i, j, 0.5)
         with pytest.raises(IndexError):
             coherence(GENERIC, i, j)
+        with pytest.raises(IndexError):
+            structure_function(GENERIC, i, j, 1.0)
+        with pytest.raises(IndexError):
+            mfbm_covariance(GENERIC, i, j, 1.0, 2.0)
+        with pytest.raises(IndexError):
+            increment_covariance(GENERIC, i, j, np.array([0.0, 1.0]))
+        with pytest.raises(IndexError):
+            covariance_tail_constant(GENERIC, i, j, +1)
 
 
 def test_admissibility_matrix_matches_pair_formulas():
