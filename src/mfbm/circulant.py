@@ -8,9 +8,13 @@ blocks and transformed back, have exactly the target law whenever every
 block eigenvalue is nonnegative.
 
 The generator of a real embedding is transpose-mirrored and its
-spectrum conjugate-mirrored, so the plan stores lags and frequencies
-0..m/2 only and colors those frequencies; one real inverse transform of
-that half spectrum (numpy's ``hfft``) returns the real path directly.
+spectrum conjugate-mirrored, so the sampler colors frequencies 0..m/2
+only, and one real inverse transform of that half spectrum (numpy's
+``hfft``) returns a real component path directly. The plan stores two
+arrays over those frequencies: the block eigenvalues and the square
+roots, component-major (p, p, m/2+1), so that each output component is
+colored from contiguous rows and transformed on its own. The generator
+blocks are recomputed on access rather than stored.
 
 Increments are simulated at unit step; rescale by self-similarity for
 other steps. Integrated paths are cumulative sums with a leading zero.
@@ -123,13 +127,15 @@ class CirculantEmbeddingError(RuntimeError):
 class CirculantPlan:
     """Frozen factorization shared by all replicates of a run.
 
-    Every stored array covers the lags or frequencies k = 0..m/2 only,
-    shape (m/2+1, ...): c_half[j] is the circulant generator block at
-    lag j (the fold block j = m/2 symmetrized), eigenvalues_half[k] the
-    eigenvalues of its DFT block at frequency k, and sqrt_blocks[k] the
-    Hermitian PSD square root actually applied. The full-length
+    Two arrays are stored, both for frequencies k = 0..m/2 only:
+    eigenvalues_half[k], shape (m/2+1, p), the eigenvalues of the DFT
+    block at frequency k, and roots, the Hermitian PSD square roots
+    actually applied, component-major: roots[u, v] is the (u, v) entry
+    of every root, shape (p, p, m/2+1). sqrt_blocks is a read-only
+    (m/2+1, p, p) view of roots. c_half[j], the circulant generator block
+    at lag j (the fold block j = m/2 symmetrized), and the full-length
     c_blocks, b_blocks (the DFT blocks) and eigenvalues are read-only
-    properties mirrored from the halves on every access.
+    properties recomputed or mirrored on every access.
     exact is False only when eigenvalue mass beyond round-off was
     truncated; truncated_mass records everything clipped, round-off
     included. doublings counts how often the order was doubled from the
@@ -140,17 +146,26 @@ class CirculantPlan:
     params: MfbmParams
     n: int
     m: int
-    c_half: np.ndarray
     eigenvalues_half: np.ndarray
-    sqrt_blocks: np.ndarray
+    roots: np.ndarray
     truncated_mass: float
     exact: bool
     doublings: int
     min_rel_eigenvalue: float
 
     def __post_init__(self):
-        for name in ("c_half", "eigenvalues_half", "sqrt_blocks"):
+        for name in ("eigenvalues_half", "roots"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def sqrt_blocks(self) -> np.ndarray:
+        return np.moveaxis(self.roots, -1, 0)
+
+    @property
+    def c_half(self) -> np.ndarray:
+        c = _half_generator(self.params, self.m, self.n)
+        c.setflags(write=False)
+        return c
 
     @property
     def c_blocks(self) -> np.ndarray:
@@ -278,9 +293,10 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
     tried: list[tuple[int, float, float]] = []  # (order, worst eigenvalue, negative mass)
     while True:
         half = m // 2
-        c_half = _half_generator(params, m, config.n)
-        # the full generator and its transform are temporaries
-        vals, vecs = np.linalg.eigh(_spectral_half(_unfold(c_half, m, _transpose)))
+        # the generator, half and full, and its transform are temporaries
+        vals, vecs = np.linalg.eigh(
+            _spectral_half(_unfold(_half_generator(params, m, config.n), m, _transpose))
+        )
 
         worst = float(vals.min())
         largest = float(vals.max())
@@ -305,17 +321,18 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
                 f"({orders}); eig_policy={EigPolicy.TRUNCATE.value!r} clips "
                 "them at the cost of exactness"
             )
-        sqrt_vals = np.sqrt(np.maximum(vals, 0.0))
-        sqrt_blocks = np.einsum(
-            "kup,kp,kvp->kuv", vecs, sqrt_vals, np.conj(vecs), optimize=True
+        p = params.p
+        roots = np.empty((p, p, half + 1), dtype=complex)
+        np.einsum(
+            "kup,kp,kvp->uvk", vecs, np.sqrt(np.maximum(vals, 0.0)), np.conj(vecs),
+            out=roots, optimize=True,
         )
         return CirculantPlan(
             params=params,
             n=config.n,
             m=m,
-            c_half=c_half,
             eigenvalues_half=vals,
-            sqrt_blocks=sqrt_blocks,
+            roots=roots,
             truncated_mass=truncated_mass,
             exact=exact,
             doublings=len(tried),
@@ -338,7 +355,10 @@ def simulate(
     integrate is set, with one meta dict recording the run. Only the
     frequencies 0..m/2 are colored; hfft of that Hermitian half equals
     the real part of the full complex FFT, so the paths are real by
-    construction.
+    construction. Each replicate's draws are copied once, component-major,
+    into z; then each output component a is colored as one row,
+    sum_v roots[a, v] * z[v], and run through one inverse FFT, so the
+    working memory beyond the output is the draw buffer, z and one row.
     """
     m, p, n = plan.m, plan.params.p, config.n
     if n > plan.n:
@@ -347,26 +367,27 @@ def simulate(
     inv_root = 1.0 / np.sqrt(2.0 * m)
     root2 = np.sqrt(2.0)
     buf = np.empty((m, p))
-    u = buf[: half + 1]
-    v = buf[half + 1 :]
-    z = np.empty((half + 1, p), dtype=complex)
-    w = np.empty_like(z)
+    u = buf[: half + 1].T
+    v = buf[half + 1 :].T
+    z = np.empty((p, half + 1), dtype=complex)
+    w = np.empty(half + 1, dtype=complex)
     ens = np.empty((config.replicates, n + integrate, p))
     for r in range(config.replicates):
         _replicate_rng(config.seed, r).standard_normal(out=buf)
-        z[0] = root2 * u[0]
-        z[half] = root2 * u[half]
-        z.real[1:half] = u[1:half]
-        z.imag[1:half] = v
+        z[:, 0] = root2 * u[:, 0]
+        z[:, half] = root2 * u[:, half]
+        z.real[:, 1:half] = u[:, 1:half]
+        z.imag[:, 1:half] = v
         z *= inv_root
-        np.einsum("kuv,kv->ku", plan.sqrt_blocks, z, out=w)
-        # numpy's hfft, without its conjugate temporary
-        x = irfft(np.conjugate(w, out=w), n=m, axis=0, norm="forward")[:n]
-        if integrate:
-            ens[r, 0] = 0.0
-            np.cumsum(x, axis=0, out=ens[r, 1:])
-        else:
-            ens[r] = x
+        for a in range(p):
+            np.einsum("vk,vk->k", plan.roots[a], z, out=w)
+            # numpy's hfft, without its conjugate temporary
+            x = irfft(np.conjugate(w, out=w), n=m, norm="forward")[:n]
+            if integrate:
+                ens[r, 0, a] = 0.0
+                np.cumsum(x, out=ens[r, 1:, a])
+            else:
+                ens[r, :, a] = x
     return Ensemble(ens, integrate, {
         "n": n, "m": m, "seed": config.seed, "replicates": config.replicates,
         "eig_policy": config.eig_policy.value, "integrate": integrate,

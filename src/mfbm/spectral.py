@@ -115,7 +115,7 @@ def _density(params: MfbmParams, q: np.ndarray, i, j, omega, delta):
     return (
         col(params.sigma[i] * params.sigma[j] / np.pi)
         * np.where(omega > 0.0, col(q[i, j]), col(q[i, j].conjugate()))
-        * (1.0 - np.cos(omega * delta))
+        * (2.0 * np.sin(0.5 * omega * delta) ** 2)  # 1 - cos without the cancellation
         / np.abs(omega) ** col(params.H[i] + params.H[j] + 1.0)
     )
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from mfbm import (
     simulate,
     toeplitz_covariance,
 )
-from mfbm.circulant import _replicate_rng
+from mfbm.circulant import _half_generator, _replicate_rng
 from conftest import make_params, random_admissible
 
 # Admissible pair whose circulant embedding is indefinite at every
@@ -120,8 +122,8 @@ def test_plan_records_doublings_and_eigenvalue_margin():
 
 
 def _half_plan_bytes(m, p):
-    # float generator blocks, float eigenvalues, complex square roots
-    return (m // 2 + 1) * (8 * p * p + 8 * p + 16 * p * p)
+    # float eigenvalues, complex square roots
+    return (m // 2 + 1) * (8 * p + 16 * p * p)
 
 
 def test_plan_stores_only_the_half_grid(rng):
@@ -129,19 +131,42 @@ def test_plan_stores_only_the_half_grid(rng):
     plan = build_plan(params, SimulationConfig(n=20))
     m, half = plan.m, plan.m // 2
     stored = {k: v for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
-    assert set(stored) == {"c_half", "eigenvalues_half", "sqrt_blocks"}
-    assert all(a.shape[0] == half + 1 for a in stored.values())
+    assert set(stored) == {"eigenvalues_half", "roots"}
+    assert plan.eigenvalues_half.shape == (half + 1, 3)
+    assert plan.roots.shape == (3, 3, half + 1) and plan.roots.flags.c_contiguous
     assert sum(a.nbytes for a in stored.values()) == _half_plan_bytes(m, 3)
     # the exact-wide benchmark plan: p=5, m=2^17
-    assert _half_plan_bytes(2**17, 5) == 41_943_680
+    assert _half_plan_bytes(2**17, 5) == 28_836_280
+    assert plan.sqrt_blocks.shape == (half + 1, 3, 3)
+    assert np.shares_memory(plan.sqrt_blocks, plan.roots)
+    assert np.array_equal(plan.sqrt_blocks[:, 0, 1], plan.roots[0, 1])
+    assert np.array_equal(plan.c_half, _half_generator(params, m, plan.n))
     assert plan.c_blocks.shape == plan.b_blocks.shape == (m, 3, 3)
     assert plan.eigenvalues.shape == (m, 3)
     assert np.array_equal(plan.c_blocks[: half + 1], plan.c_half)
     assert np.array_equal(plan.eigenvalues[: half + 1], plan.eigenvalues_half)
-    for name in ("c_blocks", "b_blocks", "eigenvalues"):
+    for name in ("c_half", "sqrt_blocks", "c_blocks", "b_blocks", "eigenvalues"):
         assert not getattr(plan, name).flags.writeable
         with pytest.raises(AttributeError):
             setattr(plan, name, None)
+
+
+@pytest.mark.parametrize("integrate", [False, True])
+def test_simulate_working_memory_budget(integrate):
+    # beyond the returned paths, simulate holds its (m, p) Philox buffer,
+    # a component-major complex copy of its half spectrum and one
+    # component's row at a time: about 3 m p floats, bounded here by 4
+    params = make_params([0.3, 0.5, 0.7], rho01=0.3, eta01=0.1)
+    config = SimulationConfig(n=8192, replicates=2)
+    plan = build_plan(params, config)
+    assert plan.m == 2**14
+    tracemalloc.start()
+    try:
+        paths = simulate(plan, config, integrate=integrate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - paths.values.nbytes <= 4 * plan.m * 3 * 8
 
 
 def test_build_plan_rejects_asymmetric_fold_at_minimal_order():

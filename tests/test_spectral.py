@@ -109,6 +109,18 @@ def test_low_frequency_modulus_is_the_limit():
         assert abs(s) == pytest.approx(envelope, rel=1e-7)
 
 
+def test_density_keeps_its_digits_at_small_frequency():
+    # 1 - cos(w) cancels to exactly 0 below w ~ 1e-8; the density must
+    # still follow its low-frequency envelope, relative error ~ w^2 / 12
+    params = make_params([0.3, 0.7], rho01=0.3, eta01=0.1)
+    omegas = np.logspace(-4, -12, 17)
+    for w in (omegas, -omegas):
+        for i, j in ((0, 1), (0, 0), (1, 1)):
+            s = cross_spectral_density(params, i, j, w)
+            envelope = low_frequency_modulus(params, i, j, w)
+            assert np.allclose(np.abs(s), envelope, rtol=1e-8, atol=0.0)
+
+
 def test_coherence_equals_normalized_cross_density(rng):
     omegas = np.linspace(0.05, 4.0, 23)
     for params in (GENERIC, UNIT_SUM, random_admissible(rng, 2)):
