@@ -9,9 +9,9 @@ of component i, scaled by n^(-d_i - 1/2) with d_i the largest exponent
 feeding the row, converge to a mfBm with H_i = d_i + 1/2; the limiting
 moving average weights keep only the kernels attaining d_i.
 
-Everything is Monte Carlo at truncated support; the truncation K >= n
-bounds edge effects, and the default 4n keeps truncation bias below
-Monte Carlo noise at the replicate counts used here.
+Everything is Monte Carlo at truncated support K >= n. The truncation
+bias is set by K/n, not by n: at the default K = 4n the variance of one
+power kernel is 3.5% low at d = 0.2 and 72% low at d = -0.2.
 """
 from __future__ import annotations
 
@@ -45,6 +45,11 @@ def fftconvolve(*args, **kwargs):
     from scipy.signal import fftconvolve as convolve
 
     return convolve(*args, **kwargs)
+
+
+def _positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class KernelRegime(str, Enum):
@@ -108,8 +113,8 @@ class KernelSpec:
         for i in range(p):
             if all(plus[i][j] is None and minus[i][j] is None for j in range(p)):
                 raise ValueError(f"component {i} is fed by no kernel")
-        if self.truncation is not None and self.truncation < 1:
-            raise ValueError("truncation must be a positive integer")
+        if self.truncation is not None:
+            _positive_int("truncation", self.truncation)
 
     @property
     def p(self) -> int:
@@ -176,16 +181,17 @@ def realize_kernel(
 
     Power kernels occupy one open half-line; the negative-exponent regime
     adds a balancing value at k = 0 so the realized kernel sums to zero
-    exactly, as its defining condition requires. That balancing mass
-    decays only like K^d, so negative-exponent partial sums carry an
-    O((K/n)^d) bias and need K >> n, not just K >= n, to get close to
-    their limit.
+    exactly, as its defining condition requires. Truncation biases the
+    scaled sums by an amount set by K/n: at K = 4n the dropped tail costs
+    3.5% of the variance for d = 0.2, and for d < 0 the balancing value
+    makes it O((K/n)^d), 72% for d = -0.2 (still 50% at K = 64n).
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
     K = truncation if truncation is not None else spec.truncation
     if K is None:
         raise ValueError("no truncation given, in the call or on the kernel grid")
+    _positive_int("truncation", K)
     cell: KernelSide | None = getattr(spec, side)[i][j]
     out = np.zeros(2 * K + 1)
     if cell is None:
@@ -201,6 +207,17 @@ def realize_kernel(
     if cell.regime is KernelRegime.POWER_NEG:
         out[K] = -tail.sum()
     return out
+
+
+def _kernel_tails(spec: KernelSpec, K: int) -> np.ndarray:
+    """tail[j, q, i]: channel j's kernel into component i summed over k <= K - q.
+    A window sum weighs each innovation by a difference of two shifted windows of it."""
+    tail = np.empty((spec.p, 2 * K + 1, spec.p))
+    for i, j in np.ndindex(spec.p, spec.p):
+        kernel = realize_kernel(spec, "plus", i, j, K)
+        kernel += realize_kernel(spec, "minus", i, j, K)
+        np.cumsum(kernel, out=tail[j, ::-1, i])
+    return tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,47 +298,43 @@ def simulate_partial_sums(
 ) -> np.ndarray:
     """Normalized partial sums at the requested fractions, shape (R, T, p).
 
-    Each replicate draws i.i.d. unit-variance innovations on a window
-    wide enough for every time in 1..n to see the full truncated kernel.
-    The convolved series sums up to m to rker . E[m : m+2K+1] minus
-    rker . E[0 : 2K+1], with E the cumulated innovations from E[0] = 0 and
-    rker the reversed kernel: O(p^2 (T + 1) K) per replicate, draws as for
-    a direct convolution. Sums are scaled by n^(-d_i - 1/2) per component.
+    Each replicate draws unit-variance innovations eps on n + 2K steps into
+    one reused buffer. With tail from _kernel_tails, the convolved series
+    sums over its first s steps, up to a constant, to S(s) = tail[:, 0] .
+    eps[:, :s].sum() + eps[:, s : s+2K] . tail[:, 1:]; the output is
+    (S(floor(n tau)) - S(0)) n^(-d_i - 1/2). Cost O(p^2 (T + 1) K) per
+    replicate; working memory tail, p^2 (2K + 1) floats, and eps.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if replicates < 1:
-        raise ValueError("replicates must be a positive integer")
+    _positive_int("n", n)
+    _positive_int("replicates", replicates)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any((taus < 0.0) | (taus > 1.0)):
         raise ValueError("every tau must lie in [0, 1]")
     if noise not in ("gaussian", "rademacher"):
         raise ValueError(f"unknown noise law {noise!r}")
     K = truncation if truncation is not None else (spec.truncation or 4 * n)
+    _positive_int("truncation", K)
     if K < n:
         raise ValueError(f"truncation K={K} must be at least n={n}")
     p = spec.p
     d = _row_exponents(spec)
-    span = 2 * K + 1
-    rker = np.zeros((p, span, p))  # [j, :, i]: channel j into component i, reversed
-    for i, j in np.ndindex(p, p):
-        rker[j, ::-1, i] = realize_kernel(spec, "plus", i, j, K)
-        rker[j, ::-1, i] += realize_kernel(spec, "minus", i, j, K)
-    used = [j for j in range(p) if np.any(rker[j])]
+    tail = _kernel_tails(spec, K)
+    used = [j for j in range(p) if tail[j].any()]
     starts = np.concatenate(([0], np.floor(n * taus).astype(int)))
     scale = n ** (-d - 0.5)
     out = np.empty((replicates, taus.shape[0], p))
-    width = n + 2 * K
-    cum = np.zeros((p, width + 1))
+    eps = np.empty((p, n + 2 * K))
     for r in range(replicates):
         rng = _replicate_rng(seed, r, stream=2)
         if noise == "gaussian":
-            eps = rng.standard_normal((p, width))
+            rng.standard_normal(out=eps)
         else:
-            eps = rng.integers(0, 2, size=(p, width)).astype(float) * 2.0 - 1.0
-        np.cumsum(eps, axis=1, out=cum[:, 1:])
-        sums = np.array(
-            [sum(cum[j, m : m + span] @ rker[j] for j in used) for m in starts]
-        )
+            np.multiply(rng.integers(0, 2, size=eps.shape), 2.0, out=eps)
+            eps -= 1.0
+        sums = np.array([
+            eps[:, :s].sum(axis=1) @ tail[:, 0]
+            + sum(eps[j, s : s + 2 * K] @ tail[j, 1:] for j in used)
+            for s in starts
+        ])
         out[r] = (sums[1:] - sums[0]) * scale
     return out

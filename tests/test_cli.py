@@ -571,6 +571,17 @@ def test_limits_matches_per_cell_reference(tmp_path):
             assert g == pytest.approx(float("%.12g" % c), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("truncation", [5000.5, True])
+def test_limits_rejects_non_integer_truncation(kernels_file, tmp_path, capsys, truncation):
+    # 5000.5 used to end in a numpy TypeError traceback; true ran as K = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(Path(kernels_file).read_text()),
+                               "truncation": truncation}))
+    argv = ["limits", "--kernels", str(bad), "--n-grid", "8", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert "truncation must be a positive integer" in capsys.readouterr().err
+
+
 def test_limits_rejects_mismatched_p(tmp_path):
     payload = {
         "p": 2,

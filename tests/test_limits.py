@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,41 +293,90 @@ def test_partial_sums_shape_and_zero_start():
     assert np.array_equal(out[:, 0, 0], np.zeros(4))
 
 
-@pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
-def test_window_sums_match_direct_convolution(noise):
+CROSS_GRID = KernelSpec(
+    plus=((POS, NEG), (SPIKE, NEG)),
+    minus=((None, POS), (NEG, None)),
+)
+# channel 2 feeds no component; row 2 mixes both power regimes
+IDLE_CHANNEL_GRID = KernelSpec(
+    plus=((POS, None, None), (NEG, SPIKE, None), (None, POS, None)),
+    minus=((None, NEG, None), (None, None, None), (NEG, None, None)),
+    truncation=2 * 32 + 3,
+)
+
+
+def _direct_partial_sums(spec, n, K, taus, seed, reps, noise):
     # the definition: convolve fresh Philox innovations with each kernel
     # ("valid" part), cumulate, read off floor(n tau), scale per row
-    spec = KernelSpec(
-        plus=((POS, NEG), (SPIKE, NEG)),
-        minus=((None, POS), (NEG, None)),
-    )
-    n, seed, reps = 32, 17, 3
-    K = 4 * n
-    taus = np.array([0.0, 0.2, 1.0 / 3.0, 0.5, 1.0])
+    p = spec.p
     idx = np.floor(n * taus).astype(int)
-    scale = n ** -np.array([0.7, 0.5])
-    want = np.empty((reps, taus.size, 2))
+    d = [
+        max(c.d for side in (spec.plus, spec.minus) for c in side[i] if c is not None)
+        for i in range(p)
+    ]
+    scale = n ** -(np.array(d) + 0.5)
+    want = np.empty((reps, taus.size, p))
     for r in range(reps):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r, 2)))
         )
         if noise == "gaussian":
-            eps = rng.standard_normal((2, n + 2 * K))
+            eps = rng.standard_normal((p, n + 2 * K))
         else:
-            eps = rng.integers(0, 2, size=(2, n + 2 * K)).astype(float) * 2.0 - 1.0
-        for i in range(2):
+            eps = rng.integers(0, 2, size=(p, n + 2 * K)).astype(float) * 2.0 - 1.0
+        for i in range(p):
             z = sum(
                 np.convolve(eps[j], realize_kernel(spec, side, i, j, K), "valid")
-                for j in range(2)
+                for j in range(p)
                 for side in ("plus", "minus")
             )
             want[r, :, i] = np.concatenate(([0.0], np.cumsum(z)))[idx] * scale[i]
-    got = simulate_partial_sums(
-        spec, n=n, taus=taus, seed=seed, replicates=reps, noise=noise
+    return want
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+def test_window_sums_match_direct_convolution(noise):
+    n, seed, reps = 32, 17, 3
+    # floor(n tau) takes 0 (twice), 1 and n among the interior fractions
+    taus = np.array([0.0, 0.5 / n, 1.0 / n, 0.2, 1.0 / 3.0, 0.5, 1.0])
+    # K: the default 4n, set on the grid, and by argument over and without one
+    for spec, truncation, K in [
+        (CROSS_GRID, None, 4 * n),
+        (IDLE_CHANNEL_GRID, None, IDLE_CHANNEL_GRID.truncation),
+        (IDLE_CHANNEL_GRID, n, n),
+        (CROSS_GRID, 5 * n + 1, 5 * n + 1),
+    ]:
+        want = _direct_partial_sums(spec, n, K, taus, seed, reps, noise)
+        got = simulate_partial_sums(
+            spec, n=n, taus=taus, seed=seed, replicates=reps, noise=noise,
+            truncation=truncation,
+        )
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(got[:, :2], np.zeros((reps, 2, spec.p)))
+
+
+def test_partial_sums_working_memory_budget():
+    # beyond the returned sums, simulate_partial_sums holds the cumulated
+    # kernels, p^2 (2K + 1) floats, and one (p, n + 2K) draw buffer; it
+    # peaks at about 2 kernel units on this grid (the benchmark's) while
+    # it builds the kernels, bounded by 2.25
+    spec = KernelSpec(
+        plus=(
+            (POS, KernelSide(KernelRegime.POWER_POS, alpha=0.5, d=0.2)),
+            (None, KernelSide(KernelRegime.POWER_NEG, alpha=1.0, d=-0.2)),
+        ),
+        minus=((None, None), (KernelSide(KernelRegime.POWER_NEG, alpha=0.4, d=-0.2), None)),
     )
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(got[:, 0], np.zeros((reps, 2)))
+    n, p = 1024, 2
+    K = 4 * n
+    tracemalloc.start()
+    try:
+        out = simulate_partial_sums(spec, n=n, taus=[0.25, 0.5, 1.0], replicates=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2.25 * p * p * (2 * K + 1) * 8
 
 
 def test_partial_sums_validation():
@@ -341,6 +391,28 @@ def test_partial_sums_validation():
         simulate_partial_sums(spec, n=8, taus=[1.0], truncation=4)
     with pytest.raises(ValueError, match="replicates must be a positive integer"):
         simulate_partial_sums(spec, n=8, taus=[1.0], replicates=0)
+
+
+@pytest.mark.parametrize(
+    "bad", [5000.5, 16.0, True, "16", 0], ids=["fractional", "float", "bool", "str", "zero"]
+)
+def test_truncation_must_be_a_positive_integer(bad):
+    # a float truncation used to end in a numpy TypeError, and True ran as K = 1
+    with pytest.raises(ValueError, match="truncation must be a positive integer"):
+        KernelSpec(plus=((POS,),), minus=((None,),), truncation=bad)
+    with pytest.raises(ValueError, match="truncation must be a positive integer"):
+        realize_kernel(one_sided(POS), "plus", 0, 0, truncation=bad)
+    with pytest.raises(ValueError, match="truncation must be a positive integer"):
+        simulate_partial_sums(one_sided(POS), n=1, taus=[1.0], truncation=bad)
+    assert one_sided(POS, truncation=np.int64(16)).truncation == 16
+
+
+@pytest.mark.parametrize(
+    "bad", [8.0, 8.5, True, np.float64(8.0)], ids=["float", "fractional", "bool", "numpy-float"]
+)
+def test_partial_sums_need_an_integer_n(bad):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        simulate_partial_sums(one_sided(POS), n=bad, taus=[1.0])
 
 
 def test_partial_sums_reproducible():
