@@ -17,12 +17,13 @@ colored from contiguous rows and transformed on its own. The generator
 blocks are recomputed on access rather than stored.
 
 Increments are simulated at unit step; rescale by self-similarity for
-other steps. Integrated paths are cumulative sums with a leading zero.
+other steps. The sampler returns increments only: an integrated path is
+their cumulative sum with a leading zero row, as CLI ``simulate
+--integrate`` writes it.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -36,7 +37,7 @@ from numpy.random import Generator, Philox, SeedSequence
 # tracer (perfbench/tracing.py) wraps them under this module's name
 from .covariance import increment_covariance, lag_block_array  # noqa: F401
 from .existence import _ridged_cholesky, check_admissibility
-from .params import MfbmParams, validate  # noqa: F401
+from .params import MfbmParams, _check_int, validate  # noqa: F401
 
 __all__ = [
     "EigPolicy",
@@ -45,7 +46,6 @@ __all__ = [
     "CirculantPlan",
     "build_plan",
     "simulate",
-    "SamplePath",
     "Ensemble",
     "default_embedding_order",
     "toeplitz_covariance",
@@ -98,15 +98,12 @@ class SimulationConfig:
     max_doublings: int = 4
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if self.replicates < 1:
-            raise ValueError("replicates must be a positive integer")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.max_doublings < 0:
-            raise ValueError("max_doublings must be nonnegative")
+        _check_int("n", self.n)
+        _check_int("replicates", self.replicates)
+        _check_seed(self.seed)
+        _check_int("max_doublings", self.max_doublings, 0)
         if self.m is not None:
+            _check_int("m", self.m)
             if not _is_power_of_two(self.m):
                 raise ValueError(f"m must be a power of 2, got {self.m}")
             if self.m < max(2, 2 * (self.n - 1)):
@@ -181,28 +178,14 @@ class CirculantPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class SamplePath:
-    """One simulated replicate with its provenance."""
+class Ensemble:
+    """One run: read-only increments of shape (R, n, p) and one meta record.
 
-    values: np.ndarray
-    replicate: int
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class Ensemble(Sequence):
-    """One run: read-only values of shape (R, rows, p) and one meta record.
-
-    rows is n, or n + 1 for integrated paths (leading zero row). Item r
-    is SamplePath(values[r], r, meta), a row view sharing the one meta
-    dict; a slice gives a list. A kept item keeps the whole array alive.
+    values[r] is replicate r, drawn from the substream of (seed, r); len()
+    counts the replicates.
     """
 
     values: np.ndarray
-    integrate: bool
     meta: dict[str, Any]
 
     def __post_init__(self):
@@ -210,17 +193,6 @@ class Ensemble(Sequence):
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __getitem__(self, index):
-        rows = range(len(self.values))[index]  # IndexError, negatives, slices
-        if isinstance(rows, range):
-            return [self[r] for r in rows]
-        return SamplePath(self.values[rows], rows, self.meta)
-
-    @property
-    def increments(self) -> np.ndarray:
-        """values itself, or one np.diff of it along time when integrated."""
-        return np.diff(self.values, axis=1) if self.integrate else self.values
 
 
 def _half_generator(params: MfbmParams, m: int, n: int) -> np.ndarray:
@@ -340,25 +312,28 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
         )
 
 
+def _check_seed(seed) -> None:
+    _check_int("seed", seed, 0)
+    if seed >= 2**64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+
+
 def _replicate_rng(seed: int, replicate: int, stream: int = 0) -> Generator:
     key = (replicate,) if stream == 0 else (replicate, stream)
     return Generator(Philox(SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def simulate(
-    plan: CirculantPlan, config: SimulationConfig, integrate: bool = False
-) -> Ensemble:
-    """Draw config.replicates paths from the factored embedding.
+def simulate(plan: CirculantPlan, config: SimulationConfig) -> Ensemble:
+    """Draw config.replicates increment paths from the factored embedding.
 
-    Returns one Ensemble of read-only values, shape (R, n, p) of
-    increments or (R, n+1, p) of integrated paths starting at zero when
-    integrate is set, with one meta dict recording the run. Only the
-    frequencies 0..m/2 are colored; hfft of that Hermitian half equals
-    the real part of the full complex FFT, so the paths are real by
-    construction. Each replicate's draws are copied once, component-major,
-    into z; then each output component a is colored as one row,
-    sum_v roots[a, v] * z[v], and run through one inverse FFT, so the
-    working memory beyond the output is the draw buffer, z and one row.
+    Returns one Ensemble: read-only increments of shape (R, n, p) and one
+    meta dict recording the run. Only the frequencies 0..m/2 are colored;
+    hfft of that Hermitian half equals the real part of the full complex
+    FFT, so the paths are real by construction. Each replicate's draws
+    are copied once, component-major, into z; then each output component
+    a is colored as one row, sum_v roots[a, v] * z[v], and run through one
+    inverse FFT, so the working memory beyond the output is the draw
+    buffer, z and one row.
     """
     m, p, n = plan.m, plan.params.p, config.n
     if n > plan.n:
@@ -371,7 +346,7 @@ def simulate(
     v = buf[half + 1 :].T
     z = np.empty((p, half + 1), dtype=complex)
     w = np.empty(half + 1, dtype=complex)
-    ens = np.empty((config.replicates, n + integrate, p))
+    ens = np.empty((config.replicates, n, p))
     for r in range(config.replicates):
         _replicate_rng(config.seed, r).standard_normal(out=buf)
         z[:, 0] = root2 * u[:, 0]
@@ -382,15 +357,10 @@ def simulate(
         for a in range(p):
             np.einsum("vk,vk->k", plan.roots[a], z, out=w)
             # numpy's hfft, without its conjugate temporary
-            x = irfft(np.conjugate(w, out=w), n=m, norm="forward")[:n]
-            if integrate:
-                ens[r, 0, a] = 0.0
-                np.cumsum(x, out=ens[r, 1:, a])
-            else:
-                ens[r, :, a] = x
-    return Ensemble(ens, integrate, {
+            ens[r, :, a] = irfft(np.conjugate(w, out=w), n=m, norm="forward")[:n]
+    return Ensemble(ens, {
         "n": n, "m": m, "seed": config.seed, "replicates": config.replicates,
-        "eig_policy": config.eig_policy.value, "integrate": integrate,
+        "eig_policy": config.eig_policy.value,
         "exact": plan.exact, "truncated_mass": plan.truncated_mass,
         "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate,))",
     })
@@ -420,6 +390,9 @@ def dense_oracle_simulate(
     the circulant sampler's, so the two ensembles are independent even
     at equal seeds.
     """
+    _check_int("n", n)
+    _check_seed(seed)
+    _check_int("replicates", replicates)
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense oracle is capped at n = {DENSE_ORACLE_MAX_N}")
     full = toeplitz_covariance(params, n)
@@ -434,7 +407,7 @@ def dense_oracle_simulate(
     for r in range(replicates):
         eps = _replicate_rng(seed, r, stream=1).standard_normal(n * p)
         ens[r] = (chol @ eps).reshape(n, p)
-    return Ensemble(ens, False, {
+    return Ensemble(ens, {
         "n": n, "seed": seed, "exact": shift == 0.0, "oracle": "dense cholesky",
         "diag_shift": shift,
         "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate, 1))",

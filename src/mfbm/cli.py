@@ -20,7 +20,6 @@ import numpy as np
 
 from .circulant import (
     CirculantEmbeddingError,
-    Ensemble,
     SimulationConfig,
     build_plan,
     simulate,
@@ -217,15 +216,18 @@ def _cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     plan = build_plan(params, config)
-    paths = simulate(plan, config, integrate=args.integrate)
+    ensemble = simulate(plan, config)
     header = ",".join(["t"] + [f"X_{k + 1}" for k in range(params.p)]) + "\n"
     row = "%d" + ("," + _FMT) * params.p + "\n"
     t0 = 0 if args.integrate else 1
-    for path in paths:
-        with open(out_dir / f"path_{path.replicate:05d}.csv", "w", newline="") as handle:
+    for r, values in enumerate(ensemble.values):
+        if args.integrate:
+            # the path from zero: numpy accumulates each column in time order
+            values = np.vstack((np.zeros((1, params.p)), np.cumsum(values, axis=0)))
+        with open(out_dir / f"path_{r:05d}.csv", "w", newline="") as handle:
             handle.write(header)
             handle.writelines(
-                row % (t0 + t, *values) for t, values in enumerate(path.values.tolist())
+                row % (t0 + t, *x) for t, x in enumerate(values.tolist())
             )
     wall = time.perf_counter() - start
     manifest = {
@@ -245,7 +247,7 @@ def _cmd_simulate(args) -> int:
     with open(out_dir / "manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
-    print(f"wrote {len(paths)} paths to {out_dir} (m={plan.m}, exact={plan.exact})")
+    print(f"wrote {len(ensemble)} paths to {out_dir} (m={plan.m}, exact={plan.exact})")
     return 0
 
 
@@ -277,7 +279,7 @@ def _cmd_verify(args) -> int:
     if (root / "manifest.json").is_file():
         with open(root / "manifest.json") as handle:
             manifest_integrate = bool(json.load(handle)["integrate"])
-    ensembles = []
+    arrays = []
     integrated_flags = set()
     skipped = []
     for f in sorted(root.glob("*.csv")):
@@ -295,16 +297,18 @@ def _cmd_verify(args) -> int:
             )
         else:
             integrated = manifest_integrate
-        ensembles.append(values)
+        arrays.append(values)
         integrated_flags.add(integrated)
     if skipped:
         noun = "file" if len(skipped) == 1 else "files"
         print(f"skipped {len(skipped)} {noun}: {', '.join(skipped)}", file=sys.stderr)
-    if not ensembles:
+    if not arrays:
         raise ValueError(f"no path files found under {args.paths}")
     if len(integrated_flags) != 1:
         raise ValueError("mixed integrated and increment path files")
-    values = Ensemble(np.stack(ensembles), integrated_flags.pop(), {}).increments
+    values = np.stack(arrays)
+    if integrated_flags.pop():
+        values = np.diff(values, axis=1)
     comparisons, summary = compare_report(values, params, lags, delta=args.delta)
     rows = [
         [c.i, c.j, c.h, *map(_fmt, (c.delta, c.empirical, c.theoretical, c.stderr, c.z)),

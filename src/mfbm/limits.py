@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .circulant import _replicate_rng
-from .params import MfbmParams
+from .circulant import _check_seed, _replicate_rng
+from .params import MfbmParams, _check_int
 from .representations import MovingAveragePair, params_from_ma
 
 __all__ = [
@@ -45,11 +45,6 @@ def fftconvolve(*args, **kwargs):
     from scipy.signal import fftconvolve as convolve
 
     return convolve(*args, **kwargs)
-
-
-def _positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class KernelRegime(str, Enum):
@@ -114,7 +109,7 @@ class KernelSpec:
             if all(plus[i][j] is None and minus[i][j] is None for j in range(p)):
                 raise ValueError(f"component {i} is fed by no kernel")
         if self.truncation is not None:
-            _positive_int("truncation", self.truncation)
+            _check_int("truncation", self.truncation)
 
     @property
     def p(self) -> int:
@@ -191,7 +186,7 @@ def realize_kernel(
     K = truncation if truncation is not None else spec.truncation
     if K is None:
         raise ValueError("no truncation given, in the call or on the kernel grid")
-    _positive_int("truncation", K)
+    _check_int("truncation", K)
     cell: KernelSide | None = getattr(spec, side)[i][j]
     out = np.zeros(2 * K + 1)
     if cell is None:
@@ -305,15 +300,16 @@ def simulate_partial_sums(
     (S(floor(n tau)) - S(0)) n^(-d_i - 1/2). Cost O(p^2 (T + 1) K) per
     replicate; working memory tail, p^2 (2K + 1) floats, and eps.
     """
-    _positive_int("n", n)
-    _positive_int("replicates", replicates)
+    _check_int("n", n)
+    _check_int("replicates", replicates)
+    _check_seed(seed)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any((taus < 0.0) | (taus > 1.0)):
         raise ValueError("every tau must lie in [0, 1]")
     if noise not in ("gaussian", "rademacher"):
         raise ValueError(f"unknown noise law {noise!r}")
     K = truncation if truncation is not None else (spec.truncation or 4 * n)
-    _positive_int("truncation", K)
+    _check_int("truncation", K)
     if K < n:
         raise ValueError(f"truncation K={K} must be at least n={n}")
     p = spec.p
@@ -329,7 +325,10 @@ def simulate_partial_sums(
         if noise == "gaussian":
             rng.standard_normal(out=eps)
         else:
-            np.multiply(rng.integers(0, 2, size=eps.shape), 2.0, out=eps)
+            # one channel row at a time: the same signs as one (p, n + 2K)
+            # draw, with an integer temporary of one row
+            for row in eps:
+                np.multiply(rng.integers(0, 2, size=row.size), 2.0, out=row)
             eps -= 1.0
         sums = np.array([
             eps[:, :s].sum(axis=1) @ tail[:, 0]

@@ -41,6 +41,14 @@ def _unit_sum(a, one_tol: float):
     return abs(a - 1.0) <= one_tol
 
 
+def _check_int(name: str, value, low: int = 1) -> None:
+    """Refuse value, naming the field, unless it is an integer (numpy's
+    included, a bool not) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        rule = "a positive integer" if low == 1 else f"an integer of at least {low}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def _frozen_array(values, ndim: int) -> np.ndarray:
     out = np.array(values, dtype=float)
     if out.ndim < ndim:

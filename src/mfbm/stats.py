@@ -11,11 +11,11 @@ every lag by the (slowly decaying) sum of cross-covariances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .circulant import Ensemble, SamplePath
+from .circulant import Ensemble
 from .covariance import increment_covariance
 from .params import MfbmParams
 
@@ -64,28 +64,12 @@ class ReportSummary:
         )
 
 
-def ensemble_from_paths(paths: Iterable[SamplePath]) -> np.ndarray:
-    """The (R, n, p) increments of an ensemble, or of a list of paths.
-
-    An Ensemble, as simulate and dense_oracle_simulate return it, gives
-    its increments: its read-only values array itself, uncopied, or one
-    difference of it when integrated. Any other iterable of paths is
-    stacked; a path flagged integrate in its meta (leading zero row) is
-    differenced back to increments first, so downstream estimators see
-    one representation.
-    """
-    if isinstance(paths, Ensemble):
-        return paths.increments
-    arrays = [
-        np.diff(path.values, axis=0) if path.meta.get("integrate") else path.values
-        for path in paths
-    ]
-    if not arrays:
-        raise ValueError("empty ensemble")
-    out = np.stack(arrays)
-    if out.ndim != 3:
-        raise ValueError("paths must be matrices of equal shape")
-    return out
+def ensemble_from_paths(ensemble: Ensemble) -> np.ndarray:
+    """The (R, n, p) increments of an Ensemble: its read-only values array
+    itself, uncopied. Anything else is refused with a TypeError."""
+    if not isinstance(ensemble, Ensemble):
+        raise TypeError(f"expected an Ensemble, got {type(ensemble).__name__}")
+    return ensemble.values
 
 
 def replicate_mean_stderr(values) -> tuple[np.ndarray, np.ndarray]:

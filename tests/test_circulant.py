@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,31 @@ def test_config_validation():
         EigPolicy.TRUNCATE
     )
     assert SimulationConfig(n=9).resolved_m() == 32
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("n", 5.5), ("n", True), ("n", np.float64(4.0)), ("replicates", 2.0),
+        ("seed", 1.5), ("seed", 2**64), ("m", 8.0), ("max_doublings", 1.0),
+    ],
+)
+def test_config_refuses_non_integer_settings(field, bad):
+    # each used to fail later as a bare TypeError inside simulate or
+    # build_plan, or, for n=True, to run with n = 1
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        SimulationConfig(**{"n": 4, field: bad})
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("n", 2.5), ("n", True), ("n", 0), ("seed", 1.5), ("seed", -1), ("replicates", 0),
+     ("replicates", 2.0)],
+)
+def test_dense_oracle_refuses_non_integer_settings(field, bad):
+    # n=2.5 used to end in an IndexError, replicates=0 in an empty ensemble
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        dense_oracle_simulate(make_params([0.3]), **{"n": 4, field: bad})
 
 
 def test_build_plan_rejects_inadmissible():
@@ -151,8 +177,7 @@ def test_plan_stores_only_the_half_grid(rng):
             setattr(plan, name, None)
 
 
-@pytest.mark.parametrize("integrate", [False, True])
-def test_simulate_working_memory_budget(integrate):
+def test_simulate_working_memory_budget():
     # beyond the returned paths, simulate holds its (m, p) Philox buffer,
     # a component-major complex copy of its half spectrum and one
     # component's row at a time: about 3 m p floats, bounded here by 4
@@ -162,7 +187,7 @@ def test_simulate_working_memory_budget(integrate):
     assert plan.m == 2**14
     tracemalloc.start()
     try:
-        paths = simulate(plan, config, integrate=integrate)
+        paths = simulate(plan, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -181,7 +206,7 @@ def test_build_plan_rejects_asymmetric_fold_at_minimal_order():
     assert np.array_equal(plan.c_blocks[8], lag_block_array(params, [8])[0])
 
 
-def _reference_paths(plan, config, integrate):
+def _reference_paths(plan, config):
     """simulate rebuilt from its definition: the same Philox draws as a
     full Hermitian vector, full-length square roots of b_blocks, and the
     real part of a complex FFT."""
@@ -202,11 +227,8 @@ def _reference_paths(plan, config, integrate):
             z[k] = buf[k] + 1j * buf[half + k]
             z[m - k] = np.conj(z[k])
         z /= np.sqrt(2.0 * m)
-        x = np.fft.fft(np.einsum("kuv,kv->ku", roots, z), axis=0)[:n].real
-        if integrate:
-            x = np.vstack([np.zeros((1, p)), np.cumsum(x, axis=0)])
-        out.append(x)
-    return out
+        out.append(np.fft.fft(np.einsum("kuv,kv->ku", roots, z), axis=0)[:n].real)
+    return np.array(out)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -219,59 +241,50 @@ def test_simulate_matches_definition(rng, p, n):
         stubborn = SimulationConfig(n=8, m=16, eig_policy="truncate", replicates=2)
         cases.append((build_plan(STUBBORN, stubborn), stubborn))
     for plan, cfg in cases:
-        for integrate in (False, True):
-            paths = simulate(plan, cfg, integrate=integrate)
-            for path, want in zip(paths, _reference_paths(plan, cfg, integrate)):
-                # a view of the (R, rows, p) ensemble, never of an m-row transform
-                values = path.values
-                assert values.flags.c_contiguous and not values.flags.writeable
-                assert values.base.shape == (cfg.replicates,) + want.shape
-                assert np.allclose(
-                    path.values, want, rtol=0, atol=1e-12 * np.abs(want).max()
-                )
+        values = simulate(plan, cfg).values
+        want = _reference_paths(plan, cfg)
+        # one (R, n, p) array of its own, never a view of an m-row transform
+        assert values.flags.c_contiguous and values.flags.owndata
+        assert not values.flags.writeable and values.shape == want.shape
+        assert np.allclose(values, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_simulate_shapes_and_integration(rng):
+    # simulate returns increments only; integrating them is left to the
+    # caller (CLI simulate --integrate), so the library has no switch for it
     params = random_admissible(rng, 2)
     config = SimulationConfig(n=10, replicates=3, seed=7)
     plan = build_plan(params, config)
     paths = simulate(plan, config)
-    assert len(paths) == 3
-    assert all(path.values.shape == (10, 2) for path in paths)
-    walks = simulate(plan, config, integrate=True)
-    assert all(path.values.shape == (11, 2) for path in walks)
-    for inc, walk in zip(paths, walks):
-        assert np.array_equal(walk.values[0], np.zeros(2))
-        assert np.allclose(np.diff(walk.values, axis=0), inc.values, atol=1e-14)
+    assert len(paths) == 3 and paths.values.shape == (3, 10, 2)
+    with pytest.raises(TypeError):
+        simulate(plan, config, integrate=True)
 
 
 def test_simulate_reproducible_per_replicate(rng):
     params = random_admissible(rng, 2)
     base = SimulationConfig(n=6, replicates=3, seed=11)
     plan = build_plan(params, base)
-    first = simulate(plan, base)
-    again = simulate(plan, base)
-    for a, b in zip(first, again):
-        assert np.array_equal(a.values, b.values)
-    solo = simulate(plan, SimulationConfig(n=6, replicates=1, seed=11))
-    assert np.array_equal(solo[0].values, first[0].values)
-    other = simulate(plan, SimulationConfig(n=6, replicates=1, seed=12))
-    assert not np.array_equal(other[0].values, first[0].values)
+    first = simulate(plan, base).values
+    assert np.array_equal(simulate(plan, base).values, first)
+    solo = simulate(plan, SimulationConfig(n=6, replicates=1, seed=11)).values
+    assert np.array_equal(solo[0], first[0])
+    other = simulate(plan, SimulationConfig(n=6, replicates=1, seed=12)).values
+    assert not np.array_equal(other[0], first[0])
 
 
 def test_simulate_meta_records_run(rng):
     params = random_admissible(rng, 2)
     config = SimulationConfig(n=5, replicates=2, seed=3)
     plan = build_plan(params, config)
-    path = simulate(plan, config, integrate=True)[1]
-    meta = path.meta
+    meta = simulate(plan, config).meta
     assert meta["n"] == 5
     assert meta["m"] == plan.m
     assert meta["seed"] == 3
-    assert path.replicate == 1
+    assert meta["replicates"] == 2
     assert meta["eig_policy"] == "grow"
-    assert meta["integrate"] is True
     assert meta["exact"] is True
+    assert "integrate" not in meta and "replicate" not in meta
 
 
 def test_simulate_returns_one_ensemble_with_one_record(rng):
@@ -279,16 +292,14 @@ def test_simulate_returns_one_ensemble_with_one_record(rng):
     config = SimulationConfig(n=6, replicates=3, seed=4)
     paths = simulate(build_plan(params, config), config)
     assert isinstance(paths, Ensemble)
-    assert len(paths) == 3 and len(list(paths)) == 3
-    assert paths[0].meta is paths[-1].meta is paths.meta
-    assert "replicate" not in paths.meta
-    assert paths[-1].replicate == 2 and paths[np.int64(1)].replicate == 1
-    assert np.array_equal(paths[-1].values, paths.values[2])
-    assert [path.replicate for path in paths[::-2]] == [2, 0]
-    with pytest.raises(IndexError):
-        paths[3]
-    with pytest.raises(IndexError):
-        paths[-4]
+    assert [f.name for f in dataclasses.fields(paths)] == ["values", "meta"]
+    assert len(paths) == 3 and paths.values.shape == (3, 6, 2)
+    assert isinstance(paths.meta, dict)
+    # one array and one record: no per-path items to index or iterate
+    with pytest.raises(TypeError):
+        paths[0]
+    with pytest.raises(TypeError):
+        iter(paths)
 
 
 def test_plans_paths_and_ensembles_compare_by_identity():
@@ -299,12 +310,8 @@ def test_plans_paths_and_ensembles_compare_by_identity():
     plan_a, plan_b = build_plan(params, config), build_plan(params, config)
     e, e2 = simulate(plan_a, config), simulate(plan_b, config)
     assert (plan_a == plan_b, plan_a == plan_a) == (False, True)
-    assert (e == e2, e == e, e[0] == e2[0]) == (False, True, False)
-    # items are fresh row views, so none is found in the sequence
-    assert (e[0] in e, e.count(e[0])) == (False, 0)
-    with pytest.raises(ValueError) as missing:
-        e.index(e[0])
-    assert "ambiguous" not in str(missing.value)
+    assert (e == e2, e == e) == (False, True)
+    assert ([e, e2].count(e), [e2].index(e2), e in [e2]) == (1, 0, False)
 
 
 def test_simulate_rejects_config_longer_than_plan(rng):
@@ -315,15 +322,15 @@ def test_simulate_rejects_config_longer_than_plan(rng):
         simulate(plan, SimulationConfig(n=32))
     with pytest.raises(ValueError, match="plan"):
         simulate(plan, SimulationConfig(n=11))
-    assert simulate(plan, SimulationConfig(n=10))[0].values.shape == (10, 2)
+    assert simulate(plan, SimulationConfig(n=10)).values.shape == (1, 10, 2)
 
 
 def test_values_are_frozen(rng):
     params = random_admissible(rng, 1)
     config = SimulationConfig(n=4)
-    path = simulate(build_plan(params, config), config)[0]
+    values = simulate(build_plan(params, config), config).values
     with pytest.raises(ValueError):
-        path.values[0, 0] = 0.0
+        values[0, 0, 0] = 0.0
 
 
 def test_stubborn_embedding_fail_policy_raises():
@@ -356,10 +363,9 @@ def test_stubborn_embedding_truncate_policy_degrades():
     assert not plan.exact
     assert plan.truncated_mass == pytest.approx(1.691172, rel=1e-5)
     paths = simulate(plan, config)
-    for path in paths:
-        assert np.all(np.isfinite(path.values))
-        assert path.meta["exact"] is False
-        assert path.meta["truncated_mass"] == plan.truncated_mass
+    assert np.all(np.isfinite(paths.values))
+    assert paths.meta["exact"] is False
+    assert paths.meta["truncated_mass"] == plan.truncated_mass
 
 
 def test_grow_policy_keeps_order_when_exact(rng):
@@ -390,23 +396,21 @@ def test_dense_oracle_caps_length_and_reproduces(rng):
         dense_oracle_simulate(params, 65)
     first = dense_oracle_simulate(params, 12, seed=5, replicates=2)
     again = dense_oracle_simulate(params, 12, seed=5, replicates=2)
-    assert len(first) == 2
-    assert first[0].values.shape == (12, 2)
-    for a, b in zip(first, again):
-        assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(first[0].values, first[1].values)
-    assert isinstance(first, Ensemble) and not first.integrate
-    assert first[0].meta is first[1].meta is first.meta
-    assert [path.replicate for path in first] == [0, 1]
+    assert isinstance(first, Ensemble) and len(first) == 2
+    assert first.values.shape == (2, 12, 2) and not first.values.flags.writeable
+    assert np.array_equal(first.values, again.values)
+    assert not np.array_equal(first.values[0], first.values[1])
+    solo = dense_oracle_simulate(params, 12, seed=5)
+    assert np.array_equal(solo.values[0], first.values[0])
 
 
 def test_dense_oracle_reports_ridge_as_inexact(rng):
-    regular = dense_oracle_simulate(random_admissible(rng, 2), 8, seed=2)[0]
+    regular = dense_oracle_simulate(random_admissible(rng, 2), 8, seed=2)
     assert regular.meta["diag_shift"] == 0.0
     assert regular.meta["exact"] is True
     # identical components: the covariance is singular and needs a ridge
     twins = make_params([0.5, 0.5], rho01=1.0)
-    ridged = dense_oracle_simulate(twins, 8, seed=2)[0]
+    ridged = dense_oracle_simulate(twins, 8, seed=2)
     assert ridged.meta["diag_shift"] > 0.0
     assert ridged.meta["exact"] is False
 
@@ -414,8 +418,8 @@ def test_dense_oracle_reports_ridge_as_inexact(rng):
 def test_dense_oracle_stream_disjoint_from_circulant(rng):
     params = random_admissible(rng, 1)
     config = SimulationConfig(n=8, m=16, seed=9)
-    circ = simulate(build_plan(params, config), config)[0]
-    dense = dense_oracle_simulate(params, 8, seed=9)[0]
+    circ = simulate(build_plan(params, config), config)
+    dense = dense_oracle_simulate(params, 8, seed=9)
     assert not np.array_equal(circ.values, dense.values)
 
 

@@ -271,15 +271,18 @@ def test_simulate_files_render_the_library_paths(params_file, tmp_path, integrat
     argv += ["--seed", "9", "--out", str(out)] + (["--integrate"] if integrate else [])
     assert main(argv) == 0
     config = SimulationConfig(n=40, seed=9, replicates=3)
-    paths = simulate(build_plan(load_params(params_file), config), config, integrate)
-    assert len(list(out.glob("path_*.csv"))) == len(paths)
+    ensemble = simulate(build_plan(load_params(params_file), config), config).values
+    if integrate:
+        # paths from zero: the cumulative sum of the library's increments
+        ensemble = np.concatenate((np.zeros((3, 1, 2)), np.cumsum(ensemble, axis=1)), axis=1)
+    assert len(list(out.glob("path_*.csv"))) == len(ensemble)
     t0 = 0 if integrate else 1
-    for path in paths:
+    for r, values in enumerate(ensemble):
         lines = ["t,X_1,X_2"] + [
             f"{t0 + t}," + ",".join("%.12g" % v for v in row)
-            for t, row in enumerate(path.values)
+            for t, row in enumerate(values)
         ]
-        text = (out / f"path_{path.replicate:05d}.csv").read_text()
+        text = (out / f"path_{r:05d}.csv").read_text()
         assert text == "\n".join(lines) + "\n"
 
 

@@ -19,6 +19,7 @@ from mfbm import (
     realize_kernel,
     simulate_partial_sums,
 )
+from mfbm.circulant import _replicate_rng
 
 POS = KernelSide(KernelRegime.POWER_POS, alpha=1.0, d=0.2)
 NEG = KernelSide(KernelRegime.POWER_NEG, alpha=0.7, d=-0.3)
@@ -356,11 +357,9 @@ def test_window_sums_match_direct_convolution(noise):
         assert np.array_equal(got[:, :2], np.zeros((reps, 2, spec.p)))
 
 
-def test_partial_sums_working_memory_budget():
-    # beyond the returned sums, simulate_partial_sums holds the cumulated
-    # kernels, p^2 (2K + 1) floats, and one (p, n + 2K) draw buffer; it
-    # peaks at about 2 kernel units on this grid (the benchmark's) while
-    # it builds the kernels, bounded by 2.25
+def _partial_sums_peak_units(noise):
+    """Peak working memory of simulate_partial_sums beyond its result, in
+    kernel units of p^2 (2K + 1) floats, on the benchmark's grid."""
     spec = KernelSpec(
         plus=(
             (POS, KernelSide(KernelRegime.POWER_POS, alpha=0.5, d=0.2)),
@@ -372,11 +371,28 @@ def test_partial_sums_working_memory_budget():
     K = 4 * n
     tracemalloc.start()
     try:
-        out = simulate_partial_sums(spec, n=n, taus=[0.25, 0.5, 1.0], replicates=2)
+        out = simulate_partial_sums(
+            spec, n=n, taus=[0.25, 0.5, 1.0], replicates=2, noise=noise
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= 2.25 * p * p * (2 * K + 1) * 8
+    return (peak - out.nbytes) / (p * p * (2 * K + 1) * 8)
+
+
+def test_partial_sums_working_memory_budget():
+    # beyond the returned sums, simulate_partial_sums holds the cumulated
+    # kernels, p^2 (2K + 1) floats, and one (p, n + 2K) draw buffer; it
+    # peaks at about 2 kernel units on this grid (the benchmark's) while
+    # it builds the kernels, bounded by 2.25
+    assert _partial_sums_peak_units("gaussian") <= 2.25
+
+
+def test_rademacher_partial_sums_working_memory_budget():
+    # the signs are drawn one channel row at a time into the draw buffer,
+    # so the integer temporary is one row, not a second (p, n + 2K) array
+    # (that one peaked at 2.39 units)
+    assert _partial_sums_peak_units("rademacher") <= 2.25
 
 
 def test_partial_sums_validation():
@@ -413,6 +429,27 @@ def test_truncation_must_be_a_positive_integer(bad):
 def test_partial_sums_need_an_integer_n(bad):
     with pytest.raises(ValueError, match="n must be a positive integer"):
         simulate_partial_sums(one_sided(POS), n=bad, taus=[1.0])
+
+
+@pytest.mark.parametrize("bad", [1.5, -1, True, 2**64], ids=["float", "negative", "bool", "wide"])
+def test_partial_sums_need_an_integer_seed(bad):
+    with pytest.raises(ValueError, match="^seed must "):
+        simulate_partial_sums(one_sided(POS), n=4, taus=[1.0], seed=bad)
+
+
+def test_rademacher_signs_match_one_whole_draw():
+    # row-by-row sign draws continue one Philox stream: the innovations are
+    # those of a single (p, n + 2K) draw, so a spike grid returns its sums
+    n, K, p, r = 8, 8, 2, 1
+    spec = KernelSpec(
+        plus=((SPIKE, None), (None, SPIKE)), minus=((None, None), (None, None)), truncation=K
+    )
+    out = simulate_partial_sums(
+        spec, n=n, taus=[1.0], seed=5, replicates=r + 1, noise="rademacher"
+    )
+    signs = 2 * _replicate_rng(5, r, stream=2).integers(0, 2, size=(p, n + 2 * K)) - 1
+    counts = np.round(out[r, 0] * np.sqrt(n) / SPIKE.alpha)
+    assert np.array_equal(counts, signs[:, K : K + n].sum(axis=1))
 
 
 def test_partial_sums_reproducible():

@@ -41,7 +41,7 @@ def test_dataclasses_holding_arrays_compare_by_identity():
     }
     assert sorted(holders) == sorted([
         "CirculantPlan", "Ensemble", "LimitTarget", "MfbmParams",
-        "MovingAveragePair", "SamplePath", "SpectralFactor",
+        "MovingAveragePair", "SpectralFactor",
     ])
     for name, cls in holders.items():
         assert not cls.__dataclass_params__.eq, name

@@ -29,18 +29,6 @@ def test_admissible_region_data(monkeypatch, tmp_path):
     assert len(read_rows(tmp_path / "boundary_h0.3_h0.7.csv")) == 10
 
 
-def test_embedding_cost_scaling(monkeypatch, tmp_path):
-    out = tmp_path / "cost.csv"
-    run_script(
-        "embedding_cost_scaling.py", monkeypatch,
-        "--min-order", "3", "--max-order", "5", "--replicates", "1", "--rounds", "1",
-        "--out", str(out),
-    )
-    rows = read_rows(out)
-    assert rows[0] == ["m", "build_seconds", "sample_seconds", "total_seconds"]
-    assert [row[0] for row in rows[1:]] == ["8", "16", "32"]
-
-
 @pytest.mark.parametrize("from_file", [False, True])
 def test_partial_sum_convergence(monkeypatch, tmp_path, from_file):
     out = tmp_path / "psum.csv"

@@ -121,6 +121,40 @@ def test_density_keeps_its_digits_at_small_frequency():
             assert np.allclose(np.abs(s), envelope, rtol=1e-8, atol=0.0)
 
 
+# p = 3 with a unit-sum pair (0, 1) beside generic ones, nonzero eta everywhere
+REFERENCE_SET = MfbmParams(
+    H=[0.3, 0.7, 0.45],
+    sigma=[1.0, 1.7, 0.6],
+    rho=[[1.0, 0.4, -0.2], [0.4, 1.0, 0.3], [-0.2, 0.3, 1.0]],
+    eta=[[0.0, 0.15, 0.05], [-0.15, 0.0, -0.1], [-0.05, 0.1, 0.0]],
+)
+
+
+def reference_density(params, i, j, w, delta):
+    """S_ij(w, delta) in scalar math-module arithmetic: (sigma_i sigma_j / pi)
+    Gamma(a+1) (rho s - i eta t sign w) 2 sin^2(w delta / 2) / |w|^(a+1)."""
+    a = float(params.H[i] + params.H[j])
+    if params.pair_kind(i, j) is PairKind.UNIT_SUM:
+        s, t = 1.0, math.pi / 2
+    else:
+        s, t = math.sin(math.pi * a / 2), math.cos(math.pi * a / 2)
+    coeff = complex(params.rho[i, j] * s, -params.eta[i, j] * t * math.copysign(1.0, w))
+    envelope = 2.0 * math.sin(0.5 * w * delta) ** 2 / abs(w) ** (a + 1.0)
+    scale = params.sigma[i] * params.sigma[j] / math.pi * math.gamma(a + 1.0)
+    return float(scale) * coeff * envelope
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.37])
+def test_density_matches_math_reference(delta):
+    omegas = [1e-12, -1e-12, 1e-6, -1e-6, 1e-3, 0.3, 1.0, 2.5, 10.0]
+    for i in range(3):
+        for j in range(3):
+            got = cross_spectral_density(REFERENCE_SET, i, j, np.array(omegas), delta)
+            for w, value in zip(omegas, got):
+                want = reference_density(REFERENCE_SET, i, j, w, delta)
+                assert abs(value - want) <= 1e-14 * abs(want), (i, j, w)
+
+
 def test_coherence_equals_normalized_cross_density(rng):
     omegas = np.linspace(0.05, 4.0, 23)
     for params in (GENERIC, UNIT_SUM, random_admissible(rng, 2)):

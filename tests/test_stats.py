@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mfbm import (
-    SamplePath,
     SimulationConfig,
     build_plan,
     compare_report,
@@ -150,43 +149,30 @@ def test_mean_free_estimator_is_unbiased():
     assert -0.2 <= np.mean(zs) <= 0.2
 
 
-def test_ensemble_from_paths_mixes_representations():
-    inc = np.arange(12.0).reshape(6, 2)
-    walk = np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
-    paths = [
-        SamplePath(values=inc.copy(), replicate=0, meta={"integrate": False}),
-        SamplePath(values=walk, replicate=1, meta={"integrate": True}),
-    ]
-    out = ensemble_from_paths(paths)
-    assert out.shape == (2, 6, 2)
-    assert np.allclose(out[0], out[1], atol=1e-12)
+def simulated_paths(n=9, replicates=4, seed=5):
+    params = make_params([0.3, 0.7], rho01=0.3, eta01=0.1)
+    config = SimulationConfig(n=n, replicates=replicates, seed=seed)
+    return simulate(build_plan(params, config), config)
 
 
 def test_ensemble_from_paths_rejects_empty_and_ragged():
-    with pytest.raises(ValueError):
+    # only an Ensemble is read; a list of paths, empty, ragged or not, is refused
+    with pytest.raises(TypeError, match="expected an Ensemble, got list"):
         ensemble_from_paths([])
-    with pytest.raises(ValueError):
-        ensemble_from_paths(
-            [SamplePath(values=np.zeros(4), replicate=0, meta={})]
-        )
+    with pytest.raises(TypeError, match="expected an Ensemble"):
+        ensemble_from_paths([np.zeros((4, 2)), np.zeros((3, 2))])
 
 
-def simulated_paths(integrate, n=9, replicates=4, seed=5):
-    params = make_params([0.3, 0.7], rho01=0.3, eta01=0.1)
-    config = SimulationConfig(n=n, replicates=replicates, seed=seed)
-    return simulate(build_plan(params, config), config, integrate=integrate)
-
-
-def increments(path):
-    return np.diff(path.values, axis=0) if path.meta["integrate"] else path.values
+@pytest.mark.parametrize("pick", [lambda e: e.values, lambda e: [e]], ids=["values", "wrapped"])
+def test_ensemble_from_paths_refuses_anything_but_an_ensemble(pick):
+    with pytest.raises(TypeError, match="expected an Ensemble"):
+        ensemble_from_paths(pick(simulated_paths()))
 
 
 def test_ensemble_from_paths_returns_simulate_buffer_uncopied():
-    paths = simulated_paths(integrate=False)
+    paths = simulated_paths()
     out = ensemble_from_paths(paths)
     assert out is paths.values and out.shape == (4, 9, 2)
-    assert all(np.shares_memory(out, path.values) for path in paths)
-    assert np.array_equal(out, np.stack([path.values for path in paths]))
     with pytest.raises(ValueError):
         out[0, 0, 0] = 1.0
 
@@ -194,70 +180,23 @@ def test_ensemble_from_paths_returns_simulate_buffer_uncopied():
 def test_ensemble_from_paths_returns_dense_oracle_values_uncopied():
     params = make_params([0.3, 0.7], rho01=0.3, eta01=0.1)
     paths = dense_oracle_simulate(params, n=8, seed=2, replicates=3)
-    assert paths[0].meta is paths[2].meta is paths.meta
     assert ensemble_from_paths(paths) is paths.values
 
 
-def test_ensemble_from_paths_differences_integrated_paths():
-    paths = simulated_paths(integrate=True)
-    out = ensemble_from_paths(paths)
-    assert out.shape == (4, 9, 2)
-    assert np.array_equal(out, np.stack([np.diff(p.values, axis=0) for p in paths]))
-
-
-def hand_built(paths):
-    return [SamplePath(p.values.copy(), p.replicate, dict(p.meta)) for p in paths]
-
-
-def rows_of_writable_array(paths):
-    ens = np.stack([p.values for p in paths])
-    return [SamplePath(ens[r], p.replicate, dict(p.meta)) for r, p in enumerate(paths)]
-
-
-def mixed(paths):
-    walks = simulated_paths(integrate=True)
-    return [walks[r] if r % 2 else p for r, p in enumerate(paths)]
-
-
-@pytest.mark.parametrize(
-    "pick",
-    [
-        list,
-        lambda ps: ps[::-1],
-        lambda ps: ps[1:],
-        lambda ps: ps[:1] * len(ps),
-        lambda ps: list(ps) + list(simulated_paths(integrate=False, seed=6)),
-        hand_built,
-        rows_of_writable_array,
-        mixed,
-    ],
-    ids=[
-        "listed", "reversed", "sliced", "repeated", "two-runs", "hand-built", "writable",
-        "mixed",
-    ],
-)
-def test_ensemble_from_paths_stacks_any_other_list(pick):
-    paths = pick(simulated_paths(integrate=False))
-    out = ensemble_from_paths(paths)
-    assert np.array_equal(out, np.stack([increments(p) for p in paths]))
-    assert not any(np.shares_memory(out, p.values) for p in paths)
-
-
-@pytest.mark.parametrize("integrate, bound", [(False, 1.25), (True, 2.25)])
-def test_ensemble_from_paths_of_simulate_holds_one_ensemble(integrate, bound):
-    # the paths and the ensemble share one buffer; a stacked copy or
+def test_ensemble_from_paths_of_simulate_holds_one_ensemble():
+    # the ensemble is one buffer handed back uncopied; a stacked copy or
     # per-path arrays beside it would double the peak
     params = make_params([0.3, 0.5, 0.7], rho01=0.2, eta01=0.05)
     config = SimulationConfig(n=1025, replicates=256, seed=3)
     plan = build_plan(params, config)
     tracemalloc.start()
     try:
-        values = ensemble_from_paths(simulate(plan, config, integrate=integrate))
+        values = ensemble_from_paths(simulate(plan, config))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert values.shape == (256, 1025, 3)
-    assert peak <= bound * values.nbytes, peak / values.nbytes
+    assert peak <= 1.25 * values.nbytes, peak / values.nbytes
 
 
 def test_replicate_mean_stderr_matches_definition():
