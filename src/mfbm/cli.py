@@ -251,43 +251,44 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _read_path_csv(path: Path) -> tuple[np.ndarray, float] | None:
-    """One replicate file: its values and the first entry of its t column.
+def _read_increments(paths: str) -> np.ndarray:
+    """Every path CSV in the directory paths, as one (files, n, p) increment array.
 
-    None for a CSV without the path header, e.g. a previously written report.
+    Each file is parsed and copied into one buffer sized from the first
+    path file, so the ensemble is held once; an integrated file is
+    differenced on its own first. Whether the files hold integrated paths
+    comes from manifest.json when it is present; without one, a t column
+    starting at 0 means integrated. A CSV without the path header, e.g. a
+    previously written report, is skipped and listed on stderr.
     """
-    with open(path, newline="") as handle:
-        header = handle.readline().strip().split(",")
-        if header[0] != "t":
-            return None
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    if data.shape[0] == 0:
-        raise ValueError(f"{path} holds no rows")
-    return data[:, 1:], float(data[0, 0])
-
-
-def _cmd_verify(args) -> int:
-    """Stack the path files and compare them against the closed form.
-
-    Whether the files hold integrated paths comes from manifest.json when
-    it is present; without one, a t column starting at 0 means integrated.
-    """
-    params = _load_valid_params(args.params)
-    lags = _parse_int_grid(args.lags)
-    root = Path(args.paths)
+    root = Path(paths)
     manifest_integrate = None
-    if (root / "manifest.json").is_file():
-        with open(root / "manifest.json") as handle:
-            manifest_integrate = bool(json.load(handle)["integrate"])
-    arrays = []
+    manifest_path = root / "manifest.json"
+    if manifest_path.is_file():
+        with open(manifest_path) as handle:
+            try:
+                manifest = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{manifest_path} is not valid JSON: {exc}") from None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("integrate"), bool):
+            raise ValueError(
+                f"{manifest_path} must hold a JSON object with \"integrate\" true or false"
+            )
+        manifest_integrate = manifest["integrate"]
+    files = sorted(root.glob("*.csv"))
+    buffer = None
+    count = 0
     integrated_flags = set()
     skipped = []
-    for f in sorted(root.glob("*.csv")):
-        read = _read_path_csv(f)
-        if read is None:
-            skipped.append(f"{f.name} (not a path file)")
-            continue
-        values, t0 = read
+    for f in files:
+        with open(f, newline="") as handle:
+            if handle.readline().strip().split(",")[0] != "t":
+                skipped.append(f"{f.name} (not a path file)")
+                continue
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        if data.shape[0] == 0:
+            raise ValueError(f"{f} holds no rows")
+        t0 = float(data[0, 0])
         if manifest_integrate is None:
             integrated = t0 == 0.0
         elif t0 != (0.0 if manifest_integrate else 1.0):
@@ -297,18 +298,33 @@ def _cmd_verify(args) -> int:
             )
         else:
             integrated = manifest_integrate
-        arrays.append(values)
+        values = np.diff(data[:, 1:], axis=0) if integrated else data[:, 1:]
+        if buffer is None:
+            first = f
+            buffer = np.empty((len(files), *values.shape))
+        elif values.shape != buffer.shape[1:]:
+            raise ValueError(
+                f"{f} holds increments of shape {values.shape}, "
+                f"but {first} holds {buffer.shape[1:]}"
+            )
+        buffer[count] = values
+        count += 1
         integrated_flags.add(integrated)
     if skipped:
         noun = "file" if len(skipped) == 1 else "files"
         print(f"skipped {len(skipped)} {noun}: {', '.join(skipped)}", file=sys.stderr)
-    if not arrays:
-        raise ValueError(f"no path files found under {args.paths}")
+    if buffer is None:
+        raise ValueError(f"no path files found under {paths}")
     if len(integrated_flags) != 1:
         raise ValueError("mixed integrated and increment path files")
-    values = np.stack(arrays)
-    if integrated_flags.pop():
-        values = np.diff(values, axis=1)
+    return buffer[:count]
+
+
+def _cmd_verify(args) -> int:
+    """Compare the path files under --paths against the closed form."""
+    params = _load_valid_params(args.params)
+    lags = _parse_int_grid(args.lags)
+    values = _read_increments(args.paths)
     comparisons, summary = compare_report(values, params, lags, delta=args.delta)
     rows = [
         [c.i, c.j, c.h, *map(_fmt, (c.delta, c.empirical, c.theoretical, c.stderr, c.z)),

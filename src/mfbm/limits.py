@@ -304,8 +304,8 @@ def simulate_partial_sums(
     _check_int("replicates", replicates)
     _check_seed(seed)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any((taus < 0.0) | (taus > 1.0)):
-        raise ValueError("every tau must lie in [0, 1]")
+    if not np.all((taus >= 0.0) & (taus <= 1.0)):
+        raise ValueError(f"taus must lie in [0, 1], got {taus.tolist()}")
     if noise not in ("gaussian", "rademacher"):
         raise ValueError(f"unknown noise law {noise!r}")
     K = truncation if truncation is not None else (spec.truncation or 4 * n)

@@ -158,6 +158,10 @@ def compare_report(
     at unit step.
     """
     values = np.asarray(values)
+    if values.ndim == 3 and values.shape[2] != params.p:
+        raise ValueError(
+            f"the ensemble has {values.shape[2]} components, the parameters p = {params.p}"
+        )
     lags = list(lags)
     cells: list[CovComparison] = []
     for h, (estimates, stderrs) in zip(lags, _lag_moments(values, lags)):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,81 @@ def test_verify_rejects_unreadable_path_file(params_file, tmp_path):
     target.write_text("t,X_1,X_2\n")
     with pytest.warns(UserWarning, match="no data"):
         assert main(argv) == 2
+
+
+def test_verify_rejects_unequal_path_lengths(params_file, tmp_path, capsys):
+    out_dir = tmp_path / "paths"
+    main(
+        [
+            "simulate", "--params", params_file,
+            "--n", "16", "--replicates", "40", "--out", str(out_dir),
+        ]
+    )
+    short = out_dir / "path_00003.csv"
+    short.write_text("".join(short.read_text().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    assert main(["verify", "--paths", str(out_dir), "--params", params_file]) == 2
+    err = capsys.readouterr().err
+    assert "path_00003.csv holds increments of shape (15, 2)" in err
+    assert "path_00000.csv holds (16, 2)" in err
+
+
+@pytest.mark.parametrize("p", [3, 1])
+def test_verify_rejects_a_component_count_not_p(params_file, tmp_path, capsys, p):
+    # 3 columns used to end in an IndexError traceback; 1 column was
+    # compared on cell (0, 0) alone, as if it were valid
+    other = tmp_path / "other.json"
+    dump_params(make_params([0.3, 0.7, 0.5][:p]), other)
+    out_dir = tmp_path / "paths"
+    argv = ["simulate", "--params", str(other), "--n", "16", "--replicates", "40"]
+    assert main(argv + ["--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--paths", str(out_dir), "--params", params_file]) == 2
+    assert f"has {p} components, the parameters p = 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ["[1, 2]", "null", '{"n": 16}', '{"integrate": "false"}', "{"],
+    ids=["list", "null", "no-integrate", "string-integrate", "not-json"],
+)
+def test_verify_rejects_a_bad_manifest(params_file, tmp_path, capsys, text):
+    # a non-object used to end in a TypeError traceback, a missing key
+    # printed "error: 'integrate'", and "false" read as true
+    out_dir = tmp_path / "paths"
+    main(
+        [
+            "simulate", "--params", params_file,
+            "--n", "16", "--replicates", "40", "--out", str(out_dir),
+        ]
+    )
+    (out_dir / "manifest.json").write_text(text)
+    capsys.readouterr()
+    assert main(["verify", "--paths", str(out_dir), "--params", params_file]) == 2
+    assert str(out_dir / "manifest.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("integrate", [False, True])
+def test_verify_working_memory(params_file, tmp_path, integrate):
+    # every file is copied into one (R, n, p) buffer: no list of parsed
+    # files, no stacked copy and no differenced copy of the stack (the
+    # stacking reader peaked at 2.68 and 3.56 ensembles)
+    reps, n, p = 40, 2048, 2
+    out_dir = tmp_path / "paths"
+    argv = ["simulate", "--params", params_file, "--n", str(n), "--replicates", str(reps)]
+    argv += ["--out", str(out_dir)] + (["--integrate"] if integrate else [])
+    assert main(argv) == 0
+    report = tmp_path / "report.csv"
+    tracemalloc.start()
+    try:
+        rc = main(
+            ["verify", "--paths", str(out_dir), "--params", params_file,
+             "--lags", "0:3:4", "--out", str(report)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 1.5 * reps * n * p * 8
 
 
 def test_verify_rejects_empty_directory(params_file, tmp_path):

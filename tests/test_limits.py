@@ -401,6 +401,10 @@ def test_partial_sums_validation():
         simulate_partial_sums(spec, n=0, taus=[1.0])
     with pytest.raises(ValueError):
         simulate_partial_sums(spec, n=8, taus=[1.5])
+    # NaN passes a test for lying outside [0, 1]; it used to end in a cast
+    # warning and a matmul error that did not name taus
+    with pytest.raises(ValueError, match=r"taus must lie in \[0, 1\], got \[0.5, nan\]"):
+        simulate_partial_sums(spec, n=8, taus=[0.5, np.nan])
     with pytest.raises(ValueError):
         simulate_partial_sums(spec, n=8, taus=[1.0], noise="cauchy")
     with pytest.raises(ValueError):

@@ -100,6 +100,8 @@ def test_compare_report_input_checks():
         compare_report(values, params, [-17])
     with pytest.raises(ValueError, match="shape"):
         compare_report(values[0], params, [0])
+    with pytest.raises(ValueError, match="2 components, the parameters p = 3"):
+        compare_report(values[:, :, :2], params, [0])
 
 
 def test_compare_report_accepts_matched_law():
