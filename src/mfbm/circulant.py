@@ -54,6 +54,7 @@ __all__ = [
 
 NEGATIVE_EIG_REL_TOL = 1e-12
 DENSE_ORACLE_MAX_N = 64
+MAX_DOUBLINGS = 4
 
 
 class EigPolicy(str, Enum):
@@ -95,13 +96,11 @@ class SimulationConfig:
     seed: int = 0
     replicates: int = 1
     eig_policy: EigPolicy = EigPolicy.GROW
-    max_doublings: int = 4
 
     def __post_init__(self):
         _check_int("n", self.n)
         _check_int("replicates", self.replicates)
         _check_seed(self.seed)
-        _check_int("max_doublings", self.max_doublings, 0)
         if self.m is not None:
             _check_int("m", self.m)
             if not _is_power_of_two(self.m):
@@ -129,10 +128,9 @@ class CirculantPlan:
     block at frequency k, and roots, the Hermitian PSD square roots
     actually applied, component-major: roots[u, v] is the (u, v) entry
     of every root, shape (p, p, m/2+1). sqrt_blocks is a read-only
-    (m/2+1, p, p) view of roots. c_half[j], the circulant generator block
-    at lag j (the fold block j = m/2 symmetrized), and the full-length
-    c_blocks, b_blocks (the DFT blocks) and eigenvalues are read-only
-    properties recomputed or mirrored on every access.
+    (m/2+1, p, p) view of roots. The full-length c_blocks (the circulant
+    generator, the fold block j = m/2 symmetrized) and b_blocks (its DFT
+    blocks) are read-only properties recomputed on every access.
     exact is False only when eigenvalue mass beyond round-off was
     truncated; truncated_mass records everything clipped, round-off
     included. doublings counts how often the order was doubled from the
@@ -159,22 +157,12 @@ class CirculantPlan:
         return np.moveaxis(self.roots, -1, 0)
 
     @property
-    def c_half(self) -> np.ndarray:
-        c = _half_generator(self.params, self.m, self.n)
-        c.setflags(write=False)
-        return c
-
-    @property
     def c_blocks(self) -> np.ndarray:
-        return _unfold(self.c_half, self.m, _transpose)
+        return _unfold(_half_generator(self.params, self.m, self.n), self.m, _transpose)
 
     @property
     def b_blocks(self) -> np.ndarray:
         return _unfold(_spectral_half(self.c_blocks), self.m, np.conj)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return _unfold(self.eigenvalues_half, self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +206,7 @@ def _transpose(blocks: np.ndarray) -> np.ndarray:
     return np.transpose(blocks, (0, 2, 1))
 
 
-def _unfold(half_rows: np.ndarray, m: int, mirror=lambda rows: rows) -> np.ndarray:
+def _unfold(half_rows: np.ndarray, m: int, mirror) -> np.ndarray:
     """Read-only full-length array from rows 0..m/2: row m-k is mirror(row k)."""
     half = m // 2
     out = np.empty((m,) + half_rows.shape[1:], dtype=half_rows.dtype)
@@ -250,7 +238,7 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
     Negative block eigenvalues below -NEGATIVE_EIG_REL_TOL times the
     spectral maximum trigger the configured policy; smaller negatives are
     round-off and are clipped silently. The grow policy doubles m at most
-    max_doublings times and gives up as soon as a doubling fails to shrink
+    MAX_DOUBLINGS times and gives up as soon as a doubling fails to shrink
     the negative eigenvalue mass; the error names every order tried.
     An explicit m = 2(n-1) raises ValueError unless the lag-(n-1) block
     is symmetric.
@@ -282,7 +270,7 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
             # negative mass no smaller than before it
             if (
                 config.eig_policy is EigPolicy.GROW
-                and len(tried) <= config.max_doublings
+                and len(tried) <= MAX_DOUBLINGS
                 and (len(tried) == 1 or truncated_mass < tried[-2][2])
             ):
                 m *= 2
@@ -362,6 +350,7 @@ def simulate(plan: CirculantPlan, config: SimulationConfig) -> Ensemble:
         "n": n, "m": m, "seed": config.seed, "replicates": config.replicates,
         "eig_policy": config.eig_policy.value,
         "exact": plan.exact, "truncated_mass": plan.truncated_mass,
+        "doublings": plan.doublings, "min_rel_eigenvalue": plan.min_rel_eigenvalue,
         "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate,))",
     })
 

@@ -10,6 +10,7 @@ negative answer or a failed embedding, 2 for bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -26,6 +27,7 @@ from .circulant import (
 )
 from .covariance import _blocks, _increments, lag_block_array
 from .existence import (
+    PSD_TOL,
     SpecialCase,
     admissible_boundary,
     check_admissibility,
@@ -88,21 +90,21 @@ def _parse_int_grid(text: str) -> list[int]:
     return out
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout for path None or '-', else the file at path, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as handle:
+            yield handle
 
 
 def _write_rows(path: str | None, header: list[str], rows) -> None:
-    handle, owned = _open_out(path)
-    try:
+    with _output(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if owned:
-            handle.close()
 
 
 def _load_valid_params(path: str) -> MfbmParams:
@@ -193,13 +195,9 @@ def _cmd_represent(args) -> int:
         payload["M_minus"] = ma.m_minus.tolist()
     except ValueError as exc:
         print(f"moving average weights omitted: {exc}", file=sys.stderr)
-    handle, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    finally:
-        if owned:
-            handle.close()
     return 0
 
 
@@ -232,16 +230,8 @@ def _cmd_simulate(args) -> int:
     wall = time.perf_counter() - start
     manifest = {
         "params": params_to_dict(params),
-        "n": config.n,
-        "replicates": config.replicates,
-        "seed": config.seed,
-        "eig_policy": str(config.eig_policy.value),
+        **ensemble.meta,
         "integrate": bool(args.integrate),
-        "m": plan.m,
-        "truncated_mass": plan.truncated_mass,
-        "exact": plan.exact,
-        "doublings": plan.doublings,
-        "min_rel_eigenvalue": plan.min_rel_eigenvalue,
         "wall_time_seconds": wall,
     }
     with open(out_dir / "manifest.json", "w") as handle:
@@ -259,7 +249,8 @@ def _read_increments(paths: str) -> np.ndarray:
     differenced on its own first. Whether the files hold integrated paths
     comes from manifest.json when it is present; without one, a t column
     starting at 0 means integrated. A CSV without the path header, e.g. a
-    previously written report, is skipped and listed on stderr.
+    previously written report, is skipped and listed on stderr; a path
+    file holding a NaN or infinite value is refused.
     """
     root = Path(paths)
     manifest_integrate = None
@@ -288,6 +279,8 @@ def _read_increments(paths: str) -> np.ndarray:
             data = np.loadtxt(handle, delimiter=",", ndmin=2)
         if data.shape[0] == 0:
             raise ValueError(f"{f} holds no rows")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{f} holds a non-finite value")
         t0 = float(data[0, 0])
         if manifest_integrate is None:
             integrated = t0 == 0.0
@@ -394,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="admissibility test and admissible-set data")
     chk.add_argument("--params", required=True)
-    chk.add_argument("--psd-tol", type=float, default=1e-10)
+    chk.add_argument("--psd-tol", type=float, default=PSD_TOL)
     chk.add_argument(
         "--boundary",
         action="store_true",

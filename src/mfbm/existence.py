@@ -27,6 +27,8 @@ __all__ = [
     "pair_coherence_at",
 ]
 
+PSD_TOL = 1e-10
+
 
 class SpecialCase(Enum):
     """Named one-parameter subfamilies of the cross coefficients."""
@@ -52,7 +54,7 @@ class AdmissibilityReport:
         return self.admissible
 
 
-def check_admissibility(params: MfbmParams, psd_tol: float = 1e-10) -> AdmissibilityReport:
+def check_admissibility(params: MfbmParams, psd_tol: float = PSD_TOL) -> AdmissibilityReport:
     """Eigenvalue test of the admissibility matrix.
 
     Admissible iff the minimum eigenvalue is at least -psd_tol times the

@@ -16,6 +16,7 @@ power kernel is 3.5% low at d = 0.2 and 72% low at d = -0.2.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -67,8 +68,14 @@ class KernelSide:
 
     def __post_init__(self):
         object.__setattr__(self, "regime", KernelRegime(self.regime))
-        if self.alpha == 0.0:
-            raise ValueError("kernel tail constant alpha must be nonzero")
+        for name in ("alpha", "d"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"kernel {name} must be a real number, got {value!r}")
+        if self.alpha == 0.0 or not np.isfinite(self.alpha):
+            raise ValueError(
+                f"kernel tail constant alpha must be finite and nonzero, got {self.alpha!r}"
+            )
         if self.regime is KernelRegime.POWER_POS and not 0.0 < self.d < 0.5:
             raise ValueError(f"positive power regime needs d in (0, 1/2), got {self.d}")
         if self.regime is KernelRegime.POWER_NEG and not -0.5 < self.d < 0.0:
@@ -124,6 +131,9 @@ def _kernel_cell(payload) -> KernelSide | None:
     extra = set(payload) - {"regime", "alpha", "d"}
     if extra:
         raise ValueError(f"unknown kernel cell keys {sorted(extra)}")
+    for key in ("regime", "alpha"):
+        if key not in payload:
+            raise ValueError(f"kernel cell {payload} is missing {key!r}")
     return KernelSide(
         regime=payload["regime"], alpha=payload["alpha"], d=payload.get("d", 0.0)
     )
@@ -142,12 +152,15 @@ def load_kernel_spec(path: str | Path) -> KernelSpec:
     extra = set(payload) - {"p", "plus", "minus", "truncation"}
     if extra:
         raise ValueError(f"unknown kernel spec keys {sorted(extra)}")
+    grids = {}
     for key in ("plus", "minus"):
         if key not in payload:
             raise ValueError(f"kernel spec is missing {key!r}")
-    plus = tuple(tuple(_kernel_cell(c) for c in row) for row in payload["plus"])
-    minus = tuple(tuple(_kernel_cell(c) for c in row) for row in payload["minus"])
-    spec = KernelSpec(plus=plus, minus=minus, truncation=payload.get("truncation"))
+        grid = payload[key]
+        if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+            raise ValueError(f"kernel spec {key!r} must be a list of lists, got {grid!r}")
+        grids[key] = tuple(tuple(_kernel_cell(c) for c in row) for row in grid)
+    spec = KernelSpec(**grids, truncation=payload.get("truncation"))
     if "p" in payload and payload["p"] != spec.p:
         raise ValueError(f"declared p={payload['p']} but grids are {spec.p} wide")
     return spec
@@ -249,7 +262,7 @@ def _row_exponents(spec: KernelSpec) -> np.ndarray:
     return d
 
 
-def limit_target(spec: KernelSpec, one_tol: float = 1e-9) -> LimitTarget:
+def limit_target(spec: KernelSpec) -> LimitTarget:
     """Parameters of the mfBm the scaled partial sums converge to.
 
     Only kernels attaining the row exponent survive in the limit, with
@@ -276,9 +289,7 @@ def limit_target(spec: KernelSpec, one_tol: float = 1e-9) -> LimitTarget:
             else:
                 weights[i, j] = cell.alpha / d[i]
     h = d + 0.5
-    params = params_from_ma(
-        MovingAveragePair(m_plus=m_plus, m_minus=m_minus), h, one_tol=one_tol
-    )
+    params = params_from_ma(MovingAveragePair(m_plus=m_plus, m_minus=m_minus), h)
     return LimitTarget(d=d, h=h, m_plus=m_plus, m_minus=m_minus, params=params)
 
 
@@ -289,16 +300,17 @@ def simulate_partial_sums(
     seed: int = 0,
     replicates: int = 1,
     noise: str = "gaussian",
-    truncation: int | None = None,
 ) -> np.ndarray:
     """Normalized partial sums at the requested fractions, shape (R, T, p).
 
-    Each replicate draws unit-variance innovations eps on n + 2K steps into
-    one reused buffer. With tail from _kernel_tails, the convolved series
-    sums over its first s steps, up to a constant, to S(s) = tail[:, 0] .
-    eps[:, :s].sum() + eps[:, s : s+2K] . tail[:, 1:]; the output is
-    (S(floor(n tau)) - S(0)) n^(-d_i - 1/2). Cost O(p^2 (T + 1) K) per
-    replicate; working memory tail, p^2 (2K + 1) floats, and eps.
+    The kernels are truncated at K = spec.truncation, or at 4n when the
+    spec sets none. Each replicate draws unit-variance innovations eps on
+    n + 2K steps into one reused buffer. With tail from _kernel_tails, the
+    convolved series sums over its first s steps, up to a constant, to
+    S(s) = tail[:, 0] . eps[:, :s].sum() + eps[:, s : s+2K] . tail[:, 1:];
+    the output is (S(floor(n tau)) - S(0)) n^(-d_i - 1/2). Cost
+    O(p^2 (T + 1) K) per replicate; working memory tail, p^2 (2K + 1)
+    floats, and eps.
     """
     _check_int("n", n)
     _check_int("replicates", replicates)
@@ -308,8 +320,7 @@ def simulate_partial_sums(
         raise ValueError(f"taus must lie in [0, 1], got {taus.tolist()}")
     if noise not in ("gaussian", "rademacher"):
         raise ValueError(f"unknown noise law {noise!r}")
-    K = truncation if truncation is not None else (spec.truncation or 4 * n)
-    _check_int("truncation", K)
+    K = spec.truncation or 4 * n
     if K < n:
         raise ValueError(f"truncation K={K} must be at least n={n}")
     p = spec.p

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .existence import SpecialCase, _ridged_cholesky, check_admissibility
+from .existence import PSD_TOL, SpecialCase, _ridged_cholesky, check_admissibility
 from .params import MfbmParams, _unit_sum
 from .spectral import _coherence, _gamma, _pair_weights, admissibility_matrix
 
@@ -84,14 +84,14 @@ def _scaled_gram(params: MfbmParams, q: np.ndarray) -> np.ndarray:
     return np.outer(params.sigma, params.sigma) / (2.0 * np.pi) * q
 
 
-def spectral_factor(params: MfbmParams, psd_tol: float = 1e-10) -> SpectralFactor:
+def spectral_factor(params: MfbmParams) -> SpectralFactor:
     """Lower-triangular factor of the Gram target via Cholesky.
 
     Admissibility is checked first; a semidefinite target (boundary
-    parameters) is factored after a recorded ridge of psd_tol times the
+    parameters) is factored after a recorded ridge of PSD_TOL times the
     largest diagonal entry, doubled until the factorization succeeds.
     """
-    report = check_admissibility(params, psd_tol)
+    report = check_admissibility(params)
     if not report.admissible:
         raise CovarianceExistenceError(
             "parameters admit no valid covariance: admissibility matrix has "
@@ -99,7 +99,7 @@ def spectral_factor(params: MfbmParams, psd_tol: float = 1e-10) -> SpectralFacto
             f"(threshold -{report.threshold:.3e})"
         )
     target = gram_target(params)
-    shift = psd_tol * float(np.max(np.real(np.diag(target))))
+    shift = PSD_TOL * float(np.max(np.real(np.diag(target))))
     if shift <= 0.0:
         shift = np.finfo(float).tiny
     try:

@@ -18,7 +18,7 @@ from mfbm import (
     simulate,
     toeplitz_covariance,
 )
-from mfbm.circulant import _half_generator, _replicate_rng
+from mfbm.circulant import MAX_DOUBLINGS, _half_generator, _replicate_rng
 from conftest import make_params, random_admissible
 
 # Admissible pair whose circulant embedding is indefinite at every
@@ -54,7 +54,6 @@ def test_config_validation():
         dict(n=0),
         dict(n=4, replicates=0),
         dict(n=4, seed=-1),
-        dict(n=4, max_doublings=-1),
         dict(n=4, m=12),
         dict(n=10, m=16),
     ):
@@ -70,7 +69,7 @@ def test_config_validation():
     "field, bad",
     [
         ("n", 5.5), ("n", True), ("n", np.float64(4.0)), ("replicates", 2.0),
-        ("seed", 1.5), ("seed", 2**64), ("m", 8.0), ("max_doublings", 1.0),
+        ("seed", 1.5), ("seed", 2**64), ("m", 8.0),
     ],
 )
 def test_config_refuses_non_integer_settings(field, bad):
@@ -120,10 +119,8 @@ def test_plan_eigen_mirror_and_exactness(rng):
     params = random_admissible(rng, 2)
     plan = build_plan(params, SimulationConfig(n=16, eig_policy="fail"))
     assert plan.exact
-    assert plan.truncated_mass <= 1e-10 * plan.eigenvalues.max()
+    assert plan.truncated_mass <= 1e-10 * plan.eigenvalues_half.max()
     half = plan.m // 2
-    for k in range(1, half):
-        assert np.array_equal(plan.eigenvalues[plan.m - k], plan.eigenvalues[k])
     assert plan.sqrt_blocks.shape == (half + 1, 2, 2)
     rebuilt = np.einsum(
         "kuv,kvw->kuw", plan.sqrt_blocks, plan.sqrt_blocks, optimize=True
@@ -139,7 +136,7 @@ def test_plan_eigen_mirror_and_exactness(rng):
 def test_plan_records_doublings_and_eigenvalue_margin():
     plan = build_plan(GROWS_ONCE, SimulationConfig(n=3, m=4))
     assert (plan.m, plan.doublings, plan.exact) == (8, 1, True)
-    vals = plan.eigenvalues
+    vals = plan.eigenvalues_half
     assert plan.min_rel_eigenvalue == vals.min() / vals.max()
     assert plan.min_rel_eigenvalue > 0.0
     kept = build_plan(GROWS_ONCE, SimulationConfig(n=3, m=4, eig_policy="truncate"))
@@ -166,12 +163,9 @@ def test_plan_stores_only_the_half_grid(rng):
     assert plan.sqrt_blocks.shape == (half + 1, 3, 3)
     assert np.shares_memory(plan.sqrt_blocks, plan.roots)
     assert np.array_equal(plan.sqrt_blocks[:, 0, 1], plan.roots[0, 1])
-    assert np.array_equal(plan.c_half, _half_generator(params, m, plan.n))
     assert plan.c_blocks.shape == plan.b_blocks.shape == (m, 3, 3)
-    assert plan.eigenvalues.shape == (m, 3)
-    assert np.array_equal(plan.c_blocks[: half + 1], plan.c_half)
-    assert np.array_equal(plan.eigenvalues[: half + 1], plan.eigenvalues_half)
-    for name in ("c_half", "sqrt_blocks", "c_blocks", "b_blocks", "eigenvalues"):
+    assert np.array_equal(plan.c_blocks[: half + 1], _half_generator(params, m, plan.n))
+    for name in ("sqrt_blocks", "c_blocks", "b_blocks"):
         assert not getattr(plan, name).flags.writeable
         with pytest.raises(AttributeError):
             setattr(plan, name, None)
@@ -284,6 +278,8 @@ def test_simulate_meta_records_run(rng):
     assert meta["replicates"] == 2
     assert meta["eig_policy"] == "grow"
     assert meta["exact"] is True
+    assert meta["doublings"] == plan.doublings == 0
+    assert meta["min_rel_eigenvalue"] == plan.min_rel_eigenvalue
     assert "integrate" not in meta and "replicate" not in meta
 
 
@@ -340,7 +336,7 @@ def test_stubborn_embedding_fail_policy_raises():
 
 
 def test_stubborn_embedding_grow_policy_exhausts():
-    config = SimulationConfig(n=8, m=16, eig_policy="grow", max_doublings=3)
+    config = SimulationConfig(n=8, m=16, eig_policy="grow")
     with pytest.raises(CirculantEmbeddingError):
         build_plan(STUBBORN, config)
 
@@ -349,7 +345,7 @@ def test_stubborn_embedding_grow_policy_stops_when_mass_grows():
     # negative eigenvalue mass 1.69 at m=16, 3.71 at m=32: one doubling
     # that does not help ends the walk, far below the default cap
     config = SimulationConfig(n=8, m=16)
-    assert config.eig_policy is EigPolicy.GROW and config.max_doublings > 1
+    assert config.eig_policy is EigPolicy.GROW and MAX_DOUBLINGS > 1
     with pytest.raises(CirculantEmbeddingError) as caught:
         build_plan(STUBBORN, config)
     message = str(caught.value)
@@ -370,7 +366,7 @@ def test_stubborn_embedding_truncate_policy_degrades():
 
 def test_grow_policy_keeps_order_when_exact(rng):
     params = random_admissible(rng, 2)
-    config = SimulationConfig(n=8, eig_policy="grow", max_doublings=6)
+    config = SimulationConfig(n=8, eig_policy="grow")
     plan = build_plan(params, config)
     assert plan.m == default_embedding_order(8)
 

@@ -197,8 +197,9 @@ def test_simulate_then_verify_round_trip(params_file, tmp_path):
     assert len(files) == 60
     manifest = json.loads((out_dir / "manifest.json").read_text())
     for key in (
-        "params", "n", "replicates", "seed", "eig_policy",
-        "integrate", "m", "truncated_mass", "exact", "wall_time_seconds",
+        "params", "n", "replicates", "seed", "eig_policy", "integrate", "m",
+        "truncated_mass", "exact", "doublings", "min_rel_eigenvalue", "rng",
+        "wall_time_seconds",
     ):
         assert key in manifest
     assert manifest["n"] == 24 and manifest["exact"] is True
@@ -385,6 +386,25 @@ def test_verify_rejects_a_component_count_not_p(params_file, tmp_path, capsys, p
     capsys.readouterr()
     assert main(["verify", "--paths", str(out_dir), "--params", params_file]) == 2
     assert f"has {p} components, the parameters p = 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_verify_rejects_a_non_finite_value(params_file, tmp_path, capsys, value):
+    # a NaN used to make every cell it touched read nan, and verify exit 0
+    out_dir = tmp_path / "paths"
+    main(
+        [
+            "simulate", "--params", params_file,
+            "--n", "16", "--replicates", "40", "--out", str(out_dir),
+        ]
+    )
+    target = out_dir / "path_00007.csv"
+    lines = target.read_text().splitlines(keepends=True)
+    lines[3] = f"3,{value},0.5\n"
+    target.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["verify", "--paths", str(out_dir), "--params", params_file]) == 2
+    assert f"{target} holds a non-finite value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -659,6 +679,34 @@ def test_limits_rejects_non_integer_truncation(kernels_file, tmp_path, capsys, t
     argv = ["limits", "--kernels", str(bad), "--n-grid", "8", "--out", str(tmp_path / "o.csv")]
     assert main(argv) == 2
     assert "truncation must be a positive integer" in capsys.readouterr().err
+
+
+CELL = {"regime": "power_pos", "alpha": 1.0, "d": 0.2}
+
+
+@pytest.mark.parametrize(
+    "plus, message",
+    [
+        ([[{"alpha": 1.0, "d": 0.2}]], "is missing 'regime'"),
+        ([[{"regime": "power_pos", "d": 0.2}]], "is missing 'alpha'"),
+        ([[{**CELL, "alpha": "1"}]], "kernel alpha must be a real number, got '1'"),
+        ([[{**CELL, "d": "x"}]], "kernel d must be a real number, got 'x'"),
+        ([[{**CELL, "alpha": True}]], "kernel alpha must be a real number, got True"),
+        ([[{**CELL, "alpha": float("inf")}]], "alpha must be finite and nonzero, got inf"),
+        (5, "kernel spec 'plus' must be a list of lists, got 5"),
+    ],
+    ids=["no-regime", "no-alpha", "string-alpha", "string-d", "bool-alpha", "inf-alpha",
+         "scalar-grid"],
+)
+def test_limits_rejects_malformed_kernel_cells(tmp_path, capsys, plus, message):
+    # a missing key printed only the key, the strings and the scalar grid
+    # ended in TypeError tracebacks, true ran as alpha = 1, and an infinite
+    # alpha was blamed on row 0 carrying no variance
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"plus": plus, "minus": [[None]]}))
+    argv = ["limits", "--kernels", str(path), "--n-grid", "8", "--replicates", "2"]
+    assert main(argv + ["--taus", "1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_limits_rejects_mismatched_p(tmp_path):

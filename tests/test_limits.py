@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -53,6 +54,19 @@ def test_kernel_side_validation():
         KernelSide(KernelRegime.SUMMABLE, alpha=0.0)
     with pytest.raises(ValueError):
         KernelSide("sideways", alpha=1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, d, field",
+    [("1", 0.2, "alpha"), (True, 0.2, "alpha"), (np.inf, 0.2, "alpha"),
+     (np.nan, 0.2, "alpha"), (1.0, "x", "d"), (1.0, None, "d")],
+    ids=["string-alpha", "bool-alpha", "inf-alpha", "nan-alpha", "string-d", "none-d"],
+)
+def test_kernel_side_refuses_non_real_alpha_and_d(alpha, d, field):
+    # strings and None used to end in a TypeError, True ran as alpha = 1,
+    # and an infinite or NaN alpha was taken
+    with pytest.raises(ValueError, match=f"^kernel (tail constant )?{field} must be"):
+        KernelSide(KernelRegime.POWER_POS, alpha=alpha, d=d)
 
 
 def test_kernel_spec_validation():
@@ -340,17 +354,16 @@ def test_window_sums_match_direct_convolution(noise):
     n, seed, reps = 32, 17, 3
     # floor(n tau) takes 0 (twice), 1 and n among the interior fractions
     taus = np.array([0.0, 0.5 / n, 1.0 / n, 0.2, 1.0 / 3.0, 0.5, 1.0])
-    # K: the default 4n, set on the grid, and by argument over and without one
-    for spec, truncation, K in [
-        (CROSS_GRID, None, 4 * n),
-        (IDLE_CHANNEL_GRID, None, IDLE_CHANNEL_GRID.truncation),
-        (IDLE_CHANNEL_GRID, n, n),
-        (CROSS_GRID, 5 * n + 1, 5 * n + 1),
+    # K: the default 4n, and set on the grid, at n, over 4n and between
+    for spec, K in [
+        (CROSS_GRID, 4 * n),
+        (IDLE_CHANNEL_GRID, IDLE_CHANNEL_GRID.truncation),
+        (dataclasses.replace(IDLE_CHANNEL_GRID, truncation=n), n),
+        (dataclasses.replace(CROSS_GRID, truncation=5 * n + 1), 5 * n + 1),
     ]:
         want = _direct_partial_sums(spec, n, K, taus, seed, reps, noise)
         got = simulate_partial_sums(
-            spec, n=n, taus=taus, seed=seed, replicates=reps, noise=noise,
-            truncation=truncation,
+            spec, n=n, taus=taus, seed=seed, replicates=reps, noise=noise
         )
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -408,7 +421,7 @@ def test_partial_sums_validation():
     with pytest.raises(ValueError):
         simulate_partial_sums(spec, n=8, taus=[1.0], noise="cauchy")
     with pytest.raises(ValueError):
-        simulate_partial_sums(spec, n=8, taus=[1.0], truncation=4)
+        simulate_partial_sums(dataclasses.replace(spec, truncation=4), n=8, taus=[1.0])
     with pytest.raises(ValueError, match="replicates must be a positive integer"):
         simulate_partial_sums(spec, n=8, taus=[1.0], replicates=0)
 
@@ -422,8 +435,6 @@ def test_truncation_must_be_a_positive_integer(bad):
         KernelSpec(plus=((POS,),), minus=((None,),), truncation=bad)
     with pytest.raises(ValueError, match="truncation must be a positive integer"):
         realize_kernel(one_sided(POS), "plus", 0, 0, truncation=bad)
-    with pytest.raises(ValueError, match="truncation must be a positive integer"):
-        simulate_partial_sums(one_sided(POS), n=1, taus=[1.0], truncation=bad)
     assert one_sided(POS, truncation=np.int64(16)).truncation == 16
 
 

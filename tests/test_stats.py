@@ -137,6 +137,19 @@ def test_compare_report_empty_lags():
     assert summary.ok
 
 
+def test_compare_report_fails_a_nan_cell():
+    # a NaN z-score used to count as within the threshold, so the report
+    # passed with max |z| = nan
+    values = iid_ensemble(reps=40, n=10)
+    params = make_params([0.5, 0.5])
+    assert compare_report(values, params, lags=[0, 1])[1].ok
+    values[3, 5, 0] = np.nan
+    _, summary = compare_report(values, params, lags=[0, 1])
+    # every cell but the two (1, 1) ones reads component 0
+    assert summary.frac_exceeding == 6 / 8
+    assert not summary.ok
+
+
 def test_mean_free_estimator_is_unbiased():
     # long memory would bias a demeaned estimator at n = 16 well past
     # this band; the plain product estimator centers on zero. Cells of
