@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -130,7 +131,8 @@ class CirculantPlan:
     of every root, shape (p, p, m/2+1). sqrt_blocks is a read-only
     (m/2+1, p, p) view of roots. The full-length c_blocks (the circulant
     generator, the fold block j = m/2 symmetrized) and b_blocks (its DFT
-    blocks) are read-only properties recomputed on every access.
+    blocks) are read-only, built on first access and kept on the plan from
+    then on (they then appear in vars(plan)).
     exact is False only when eigenvalue mass beyond round-off was
     truncated; truncated_mass records everything clipped, round-off
     included. doublings counts how often the order was doubled from the
@@ -156,11 +158,11 @@ class CirculantPlan:
     def sqrt_blocks(self) -> np.ndarray:
         return np.moveaxis(self.roots, -1, 0)
 
-    @property
+    @cached_property
     def c_blocks(self) -> np.ndarray:
         return _unfold(_half_generator(self.params, self.m, self.n), self.m, _transpose)
 
-    @property
+    @cached_property
     def b_blocks(self) -> np.ndarray:
         return _unfold(_spectral_half(self.c_blocks), self.m, np.conj)
 

@@ -12,6 +12,10 @@ moving average weights keep only the kernels attaining d_i.
 Everything is Monte Carlo at truncated support K >= n. The truncation
 bias is set by K/n, not by n: at the default K = 4n the variance of one
 power kernel is 3.5% low at d = 0.2 and 72% low at d = -0.2.
+
+simulate_partial_sums realizes no kernel. The cumulated kernels it reads
+telescope to closed form and are written straight into one array of
+p^2 (2K + 1) floats; realize_kernel gives the coefficients themselves.
 """
 from __future__ import annotations
 
@@ -46,6 +50,10 @@ def fftconvolve(*args, **kwargs):
     from scipy.signal import fftconvolve as convolve
 
     return convolve(*args, **kwargs)
+
+
+# Rademacher signs per integers() call in simulate_partial_sums
+_SIGN_CHUNK = 2048
 
 
 class KernelRegime(str, Enum):
@@ -161,8 +169,10 @@ def load_kernel_spec(path: str | Path) -> KernelSpec:
             raise ValueError(f"kernel spec {key!r} must be a list of lists, got {grid!r}")
         grids[key] = tuple(tuple(_kernel_cell(c) for c in row) for row in grid)
     spec = KernelSpec(**grids, truncation=payload.get("truncation"))
-    if "p" in payload and payload["p"] != spec.p:
-        raise ValueError(f"declared p={payload['p']} but grids are {spec.p} wide")
+    if "p" in payload:
+        _check_int("p", payload["p"])
+        if payload["p"] != spec.p:
+            raise ValueError(f"declared p={payload['p']} but grids are {spec.p} wide")
     return spec
 
 
@@ -174,7 +184,8 @@ def _half_line(side: KernelSide, K: int) -> np.ndarray:
     condition, while partial sums telescope to (alpha/d) k^d exactly.
     Pointwise sampling alpha*k^(d-1) would shift every window sum by a
     zeta-function constant that dies off only like n^(-d), far too slow
-    for any finite-n convergence check.
+    for any finite-n convergence check. realize_kernel reads these values;
+    _kernel_tails writes their telescoped sums without forming them.
     """
     ks = np.arange(1, K + 1, dtype=float)
     # 0^d := 0 anchor keeps the telescoped sums exact for d of either sign
@@ -218,14 +229,50 @@ def realize_kernel(
 
 
 def _kernel_tails(spec: KernelSpec, K: int) -> np.ndarray:
-    """tail[j, q, i]: channel j's kernel into component i summed over k <= K - q.
-    A window sum weighs each innovation by a difference of two shifted windows of it."""
-    tail = np.empty((spec.p, 2 * K + 1, spec.p))
+    """tail[j, q, i] = F(K - q), where F(k) is channel j's kernel into
+    component i summed over k' <= k. A window sum weighs each innovation
+    by a difference of two shifted windows of it.
+
+    F is written in closed form, one cell at a time into its strided
+    tail[j, :, i] view, with one K-length temporary per kernel. With
+    c = alpha/d, a power kernel's sums telescope (see _half_line): on the
+    plus side F(k) = c k^d for 1 <= k <= K and 0 below; on the minus side
+    F(-k0) = c (K^d - (k0 - 1)^d) for k0 = 1..K, with 0^d = 0, and c K^d
+    from k = 0 on. The negative-exponent balancing value subtracts c K^d
+    from k = 0 on, and a summable kernel adds alpha there. No kernel is
+    realized, so F rounds differently from a cumsum of realize_kernel, by
+    a few ulps of the largest |F|.
+    """
+    tail = np.zeros((spec.p, 2 * K + 1, spec.p))
     for i, j in np.ndindex(spec.p, spec.p):
-        kernel = realize_kernel(spec, "plus", i, j, K)
-        kernel += realize_kernel(spec, "minus", i, j, K)
-        np.cumsum(kernel, out=tail[j, ::-1, i])
+        for side in ("plus", "minus"):
+            cell = getattr(spec, side)[i][j]
+            if cell is not None:
+                _add_tail(tail[j, :, i], cell, side == "plus", K)
     return tail
+
+
+def _add_tail(column: np.ndarray, cell: KernelSide, plus: bool, K: int) -> None:
+    """Add one side's F(K - q) into column[q], q = 0..2K. A call of its
+    own, so its K-length temporary is freed before the next kernel's."""
+    if cell.regime is KernelRegime.SUMMABLE:
+        column[: K + 1] += cell.alpha
+        return
+    c = cell.alpha / cell.d
+    powers = np.arange(1.0, K + 1)
+    np.power(powers, cell.d, out=powers)  # k^d, k = 1..K
+    top = c * powers[-1]  # c K^d
+    if plus:
+        powers *= c
+        column[:K] += powers[::-1]
+    else:
+        column[: K + 2] += top
+        rest = powers[:-1]  # (k0 - 1)^d, k0 = 2..K
+        np.subtract(powers[-1], rest, out=rest)
+        rest *= c
+        column[K + 2 :] += rest
+    if cell.regime is KernelRegime.POWER_NEG:
+        column[: K + 1] -= top
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,8 +356,10 @@ def simulate_partial_sums(
     convolved series sums over its first s steps, up to a constant, to
     S(s) = tail[:, 0] . eps[:, :s].sum() + eps[:, s : s+2K] . tail[:, 1:];
     the output is (S(floor(n tau)) - S(0)) n^(-d_i - 1/2). Cost
-    O(p^2 (T + 1) K) per replicate; working memory tail, p^2 (2K + 1)
-    floats, and eps.
+    O(p^2 (T + 1) K) per replicate. Working memory is about
+    p^2 (2K + 1) + p (n + 2K) floats: tail, written in closed form with
+    no kernel realized, and eps. Rademacher signs are drawn in slices of
+    _SIGN_CHUNK, the same stream as one whole draw.
     """
     _check_int("n", n)
     _check_int("replicates", replicates)
@@ -336,10 +385,12 @@ def simulate_partial_sums(
         if noise == "gaussian":
             rng.standard_normal(out=eps)
         else:
-            # one channel row at a time: the same signs as one (p, n + 2K)
-            # draw, with an integer temporary of one row
-            for row in eps:
-                np.multiply(rng.integers(0, 2, size=row.size), 2.0, out=row)
+            # slices of one (p, n + 2K) draw continue its stream, so the
+            # integer temporary is one slice
+            flat = eps.reshape(-1)
+            for lo in range(0, flat.size, _SIGN_CHUNK):
+                chunk = flat[lo : lo + _SIGN_CHUNK]
+                np.multiply(rng.integers(0, 2, size=chunk.size), 2.0, out=chunk)
             eps -= 1.0
         sums = np.array([
             eps[:, :s].sum(axis=1) @ tail[:, 0]

@@ -220,10 +220,10 @@ def params_from_dict(payload: dict) -> MfbmParams:
         one_tol=float(payload.get("one_tol", 1e-9)),
     )
     declared = payload.get("p")
-    if declared is not None and int(declared) != params.p:
-        raise ValueError(
-            f"declared p={declared} does not match len(H)={params.p}"
-        )
+    if declared is not None:
+        _check_int("p", declared)
+        if declared != params.p:
+            raise ValueError(f"declared p={declared} does not match len(H)={params.p}")
     return params
 
 

@@ -171,6 +171,18 @@ def test_plan_stores_only_the_half_grid(rng):
             setattr(plan, name, None)
 
 
+def test_plan_keeps_a_view_once_read(rng):
+    # the full-length views were rebuilt on every access, which made a
+    # block loop over c_blocks rebuild the generator per block
+    plan = build_plan(random_admissible(rng, 2), SimulationConfig(n=16))
+    for name in ("c_blocks", "b_blocks"):
+        assert name not in vars(plan)
+        first = getattr(plan, name)
+        assert getattr(plan, name) is first
+        assert not first.flags.writeable
+        assert vars(plan)[name] is first
+
+
 def test_simulate_working_memory_budget():
     # beyond the returned paths, simulate holds its (m, p) Philox buffer,
     # a component-major complex copy of its half spectrum and one

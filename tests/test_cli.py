@@ -21,6 +21,7 @@ from mfbm import (
     load_params,
     max_correlation,
     mfbm_covariance,
+    params_to_dict,
     simulate,
     simulate_partial_sums,
 )
@@ -718,6 +719,21 @@ def test_limits_rejects_mismatched_p(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     assert main(["limits", "--kernels", str(path), "--n-grid", "8"]) == 2
+
+
+@pytest.mark.parametrize("declared", [True, 1.7, [1]], ids=["bool", "float", "list"])
+def test_input_files_refuse_a_non_integer_p(tmp_path, capsys, declared):
+    # check exited 0 on true and 1.7 and 1 on [1]; limits exited 0 on true
+    params = {**params_to_dict(make_params([0.3])), "p": declared}
+    kernels = {"p": declared, "plus": [[CELL]], "minus": [[None]]}
+    for name, payload, argv in [
+        ("params", params, ["check", "--params"]),
+        ("kernels", kernels, ["limits", "--n-grid", "8", "--replicates", "2", "--kernels"]),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        assert main([*argv, str(path)]) == 2
+        assert "p must be a positive integer" in capsys.readouterr().err
 
 
 def test_module_entry_point(params_file):

@@ -20,6 +20,7 @@ from mfbm import (
     realize_kernel,
     simulate_partial_sums,
 )
+from mfbm import limits
 from mfbm.circulant import _replicate_rng
 
 POS = KernelSide(KernelRegime.POWER_POS, alpha=1.0, d=0.2)
@@ -370,6 +371,53 @@ def test_window_sums_match_direct_convolution(noise):
         assert np.array_equal(got[:, :2], np.zeros((reps, 2, spec.p)))
 
 
+# every regime on both sides, cross cells, and channel 2 feeding nothing
+ALL_REGIMES_GRID = KernelSpec(
+    plus=((POS, NEG, None), (SPIKE, KernelSide(KernelRegime.POWER_POS, 0.5, 0.45), None),
+          (NEG, SPIKE, None)),
+    minus=((KernelSide(KernelRegime.POWER_NEG, -1.2, -0.45), SPIKE, None), (POS, NEG, None),
+           (SPIKE, POS, None)),
+)
+
+
+def _cumulated_tails(spec, K):
+    # the definition: realize both sides of every kernel, cumulate over
+    # k' <= k and read it from k = K down
+    tail = np.empty((spec.p, 2 * K + 1, spec.p))
+    for i, j in np.ndindex(spec.p, spec.p):
+        kernel = realize_kernel(spec, "plus", i, j, K) + realize_kernel(spec, "minus", i, j, K)
+        tail[j, :, i] = np.cumsum(kernel)[::-1]
+    return tail
+
+
+@pytest.mark.parametrize("grid", [CROSS_GRID, IDLE_CHANNEL_GRID, ALL_REGIMES_GRID],
+                         ids=["cross", "idle-channel", "all-regimes"])
+@pytest.mark.parametrize("K", [32, 4 * 32, 4 * 32 + 3], ids=["n", "4n", "4n+3"])
+def test_closed_form_tails_match_cumulated_kernels(grid, K):
+    want = _cumulated_tails(grid, K)
+    got = limits._kernel_tails(grid, K)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("K", [1, 32, 131, 4096])
+def test_plus_side_negative_exponent_tail_ends_at_exactly_zero(K):
+    # the balancing value cancels c K^d with the very number it wrote
+    assert limits._kernel_tails(one_sided(NEG), K)[0, 0, 0] == 0.0
+
+
+def test_partial_sums_realize_no_kernel(monkeypatch):
+    want = simulate_partial_sums(CROSS_GRID, n=16, taus=[0.5, 1.0], seed=3, replicates=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was realized")
+
+    monkeypatch.setattr(limits, "realize_kernel", refuse)
+    monkeypatch.setattr(limits, "_half_line", refuse)
+    got = simulate_partial_sums(CROSS_GRID, n=16, taus=[0.5, 1.0], seed=3, replicates=2)
+    assert np.array_equal(got, want)
+
+
 def _partial_sums_peak_units(noise):
     """Peak working memory of simulate_partial_sums beyond its result, in
     kernel units of p^2 (2K + 1) floats, on the benchmark's grid."""
@@ -395,17 +443,18 @@ def _partial_sums_peak_units(noise):
 
 def test_partial_sums_working_memory_budget():
     # beyond the returned sums, simulate_partial_sums holds the cumulated
-    # kernels, p^2 (2K + 1) floats, and one (p, n + 2K) draw buffer; it
-    # peaks at about 2 kernel units on this grid (the benchmark's) while
-    # it builds the kernels, bounded by 2.25
-    assert _partial_sums_peak_units("gaussian") <= 2.25
+    # kernels, p^2 (2K + 1) floats, and one (p, n + 2K) draw buffer: about
+    # 1.6 kernel units on this grid (the benchmark's), bounded by 1.75.
+    # Realizing each kernel and cumulating it peaked at 2.01
+    assert _partial_sums_peak_units("gaussian") <= 1.75
 
 
 def test_rademacher_partial_sums_working_memory_budget():
-    # the signs are drawn one channel row at a time into the draw buffer,
-    # so the integer temporary is one row, not a second (p, n + 2K) array
-    # (that one peaked at 2.39 units)
-    assert _partial_sums_peak_units("rademacher") <= 2.25
+    # the signs are drawn in slices of _SIGN_CHUNK into the draw buffer, so
+    # the integer temporary and its cast are one slice each: about 1.7
+    # units, bounded by 1.75 (one row at a time peaked at 2.11, one whole
+    # (p, n + 2K) draw at 2.39)
+    assert _partial_sums_peak_units("rademacher") <= 1.75
 
 
 def test_partial_sums_validation():
@@ -465,6 +514,32 @@ def test_rademacher_signs_match_one_whole_draw():
     signs = 2 * _replicate_rng(5, r, stream=2).integers(0, 2, size=(p, n + 2 * K)) - 1
     counts = np.round(out[r, 0] * np.sqrt(n) / SPIKE.alpha)
     assert np.array_equal(counts, signs[:, K : K + n].sum(axis=1))
+
+
+def test_rademacher_signs_match_one_whole_draw_across_slices():
+    # each channel's window [K, K + n) straddles a slice boundary, and one
+    # fraction per step reads every sign in it
+    n, K, p, r = 8, limits._SIGN_CHUNK - 4, 2, 1
+    spec = KernelSpec(
+        plus=((SPIKE, None), (None, SPIKE)), minus=((None, None), (None, None)), truncation=K
+    )
+    taus = np.arange(1, n + 1) / n
+    out = simulate_partial_sums(
+        spec, n=n, taus=taus, seed=9, replicates=r + 1, noise="rademacher"
+    )
+    signs = 2 * _replicate_rng(9, r, stream=2).integers(0, 2, size=(p, n + 2 * K)) - 1
+    counts = np.round(out[r] * np.sqrt(n) / SPIKE.alpha)
+    assert np.array_equal(counts, np.cumsum(signs[:, K : K + n], axis=1).T)
+
+
+@pytest.mark.parametrize("declared", [True, 1.7, [1], "1"], ids=["bool", "float", "list", "str"])
+def test_load_kernel_spec_refuses_a_non_integer_p(tmp_path, declared):
+    # true used to pass on a one-wide grid
+    path = tmp_path / "k.json"
+    cell = {"regime": "power_pos", "alpha": 1.0, "d": 0.2}
+    path.write_text(json.dumps({"p": declared, "plus": [[cell]], "minus": [[None]]}))
+    with pytest.raises(ValueError, match="p must be a positive integer"):
+        load_kernel_spec(path)
 
 
 def test_partial_sums_reproducible():

@@ -155,6 +155,15 @@ def test_dict_errors():
         params_from_dict(payload)
 
 
+@pytest.mark.parametrize("declared", [True, 1.7, [1], "1"], ids=["bool", "float", "list", "str"])
+def test_dict_refuses_a_non_integer_p(declared):
+    # true and 1.7 used to pass on a one-component set, and [1] ended in a
+    # TypeError from int()
+    payload = {**params_to_dict(make_params([0.3])), "p": declared}
+    with pytest.raises(ValueError, match="p must be a positive integer"):
+        params_from_dict(payload)
+
+
 def test_dict_rejects_unknown_keys():
     # a misspelt one_tol would otherwise fall back to the default silently
     payload = {**params_to_dict(make_params([0.3, 0.7])), "one_tl": 0.1, "Eta": 0}
