@@ -117,7 +117,8 @@ class SimulationConfig:
 
 
 class CirculantEmbeddingError(RuntimeError):
-    """Embedding blocks are not PSD and the policy forbids proceeding."""
+    """An embedding, or the reference sampler's dense covariance, stays
+    indefinite for parameters that admit a covariance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +138,13 @@ class CirculantPlan:
     truncated; truncated_mass records everything clipped, round-off
     included. doublings counts how often the order was doubled from the
     configured one; min_rel_eigenvalue is the smallest block eigenvalue
-    over the largest.
+    over the largest. eig_policy is the policy the plan was built under.
     """
 
     params: MfbmParams
     n: int
     m: int
+    eig_policy: EigPolicy
     eigenvalues_half: np.ndarray
     roots: np.ndarray
     truncated_mass: float
@@ -243,14 +245,10 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
     MAX_DOUBLINGS times and gives up as soon as a doubling fails to shrink
     the negative eigenvalue mass; the error names every order tried.
     An explicit m = 2(n-1) raises ValueError unless the lag-(n-1) block
-    is symmetric.
+    is symmetric. A set without a valid covariance raises
+    CovarianceExistenceError first.
     """
-    adm = check_admissibility(params)  # validates first: ValueError if invalid
-    if not adm.admissible:
-        raise CirculantEmbeddingError(
-            "parameters admit no valid covariance "
-            f"(minimum eigenvalue {adm.min_eigenvalue:.3e})"
-        )
+    check_admissibility(params).require()
     m = config.resolved_m()
     tried: list[tuple[int, float, float]] = []  # (order, worst eigenvalue, negative mass)
     while True:
@@ -293,6 +291,7 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
             params=params,
             n=config.n,
             m=m,
+            eig_policy=config.eig_policy,
             eigenvalues_half=vals,
             roots=roots,
             truncated_mass=truncated_mass,
@@ -350,7 +349,7 @@ def simulate(plan: CirculantPlan, config: SimulationConfig) -> Ensemble:
             ens[r, :, a] = irfft(np.conjugate(w, out=w), n=m, norm="forward")[:n]
     return Ensemble(ens, {
         "n": n, "m": m, "seed": config.seed, "replicates": config.replicates,
-        "eig_policy": config.eig_policy.value,
+        "eig_policy": plan.eig_policy.value,
         "exact": plan.exact, "truncated_mass": plan.truncated_mass,
         "doublings": plan.doublings, "min_rel_eigenvalue": plan.min_rel_eigenvalue,
         "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate,))",
@@ -377,15 +376,17 @@ def dense_oracle_simulate(
     """Reference sampler: dense Cholesky of the full increment covariance.
 
     Quadratic-size and cubic-time; capped at n = 64. Returns an Ensemble
-    of (R, n, p) increments, like simulate. Substreams are disjoint from
-    the circulant sampler's, so the two ensembles are independent even
-    at equal seeds.
+    of (R, n, p) increments, like simulate. A set without a valid
+    covariance raises CovarianceExistenceError, so only an admissible one
+    is ridged (meta diag_shift). Substreams are disjoint from the circulant
+    sampler's, so the two ensembles are independent even at equal seeds.
     """
     _check_int("n", n)
     _check_seed(seed)
     _check_int("replicates", replicates)
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense oracle is capped at n = {DENSE_ORACLE_MAX_N}")
+    check_admissibility(params).require()
     full = toeplitz_covariance(params, n)
     try:
         chol, shift = _ridged_cholesky(full, 1e-12 * float(np.max(np.diag(full))))

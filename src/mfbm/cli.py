@@ -5,7 +5,7 @@ limits. Every one that needs process parameters reads the same JSON
 schema with keys p, H, sigma, rho, eta. Numeric CSV output uses %.12g.
 
 Exit codes: 0 success (check: admissible; verify: gate passed), 1 for a
-negative answer or a failed embedding, 2 for bad input.
+negative answer (no valid covariance, a failed embedding), 2 bad input.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .circulant import (
 )
 from .covariance import _blocks, _increments, lag_block_array
 from .existence import (
-    PSD_TOL,
+    CovarianceExistenceError,
     SpecialCase,
     admissible_boundary,
     check_admissibility,
@@ -166,7 +166,7 @@ def _cmd_check(args) -> int:
                 rows.append([_fmt(h1), _fmt(h2), _fmt(max_correlation(h1, h2, case))])
         _write_rows(args.out, ["H1", "H2", "max_rho"], rows)
         return 0
-    report = check_admissibility(params, psd_tol=args.psd_tol)
+    report = check_admissibility(params)
     print(
         f"admissible: {report.admissible}  "
         f"min_eigenvalue: {_fmt(report.min_eigenvalue)}  "
@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="admissibility test and admissible-set data")
     chk.add_argument("--params", required=True)
-    chk.add_argument("--psd-tol", type=float, default=PSD_TOL)
     chk.add_argument(
         "--boundary",
         action="store_true",
@@ -473,7 +472,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except CirculantEmbeddingError as exc:
+    except (CovarianceExistenceError, CirculantEmbeddingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

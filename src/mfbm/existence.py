@@ -16,10 +16,11 @@ from enum import Enum
 import numpy as np
 
 from .params import MfbmParams, PairKind, eta_from_prime, validate
-from .spectral import _coherence, _gamma, admissibility_matrix, coherence
+from .spectral import _coherence, admissibility_matrix, coherence
 
 __all__ = [
     "SpecialCase",
+    "CovarianceExistenceError",
     "AdmissibilityReport",
     "check_admissibility",
     "max_correlation",
@@ -37,6 +38,10 @@ class SpecialCase(Enum):
     WELL_BALANCED = "well_balanced"
 
 
+class CovarianceExistenceError(ValueError):
+    """Raised when parameters do not define a legitimate covariance."""
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the semidefiniteness test.
@@ -50,26 +55,31 @@ class AdmissibilityReport:
     threshold: float
     coherence: float | None = None
 
-    def __bool__(self) -> bool:
-        return self.admissible
+    def require(self) -> None:
+        """Raise CovarianceExistenceError unless the set is admissible."""
+        if not self.admissible:
+            raise CovarianceExistenceError(
+                "parameters admit no valid covariance: admissibility matrix has "
+                f"minimum eigenvalue {self.min_eigenvalue:.3e} "
+                f"(threshold -{self.threshold:.3e})"
+            )
 
 
-def check_admissibility(params: MfbmParams, psd_tol: float = PSD_TOL) -> AdmissibilityReport:
-    """Eigenvalue test of the admissibility matrix.
+def check_admissibility(params: MfbmParams) -> AdmissibilityReport:
+    """Eigenvalue test of the admissibility matrix: the one existence rule.
 
-    Admissible iff the minimum eigenvalue is at least -psd_tol times the
+    Admissible iff the minimum eigenvalue is at least -PSD_TOL times the
     largest entry modulus. Eigenvalues rather than a Cholesky attempt so
-    the margin is visible in the report. Structurally invalid parameters
+    the margin is visible in the report; every sampler, factor and CLI
+    command refuses through its require(). Structurally invalid parameters
     (see params.validate) raise ValueError instead of yielding a report.
     """
-    if not 0.0 <= psd_tol < np.inf:
-        raise ValueError(f"psd_tol must be finite and nonnegative, got {psd_tol}")
     report = validate(params)
     if not report.ok:
         raise ValueError(f"invalid parameters: {report}")
     q = admissibility_matrix(params)
     eigenvalues = np.linalg.eigvalsh(q)
-    threshold = psd_tol * float(np.max(np.abs(q)))
+    threshold = PSD_TOL * float(np.max(np.abs(q)))
     c12 = float(_coherence(q)[0, 1]) if params.p == 2 else None
     return AdmissibilityReport(
         admissible=bool(eigenvalues[0] >= -threshold),
@@ -99,33 +109,19 @@ def _ridged_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, floa
     raise np.linalg.LinAlgError("matrix stays indefinite after 64 ridge doublings")
 
 
-def _check_hurst_pair(h1: float, h2: float) -> None:
-    for h in (h1, h2):
-        if not 0.0 < h < 1.0:
-            raise ValueError(f"Hurst exponent {h} outside (0, 1)")
-
-
 def max_correlation(h1: float, h2: float, case: SpecialCase) -> float:
     """Largest symmetric coefficient admitting a bivariate process with
     Hurst exponents (h1, h2), under the given special case.
 
-    The well-balanced family attains the unconstrained maximum; the causal
-    family loses a factor |cos(pi (h1-h2) / 2)|. Continuous through
-    h1 + h2 = 1, where the half-sum sine is 1.
+    Read off the coherence rule: rho enters q_12 linearly, so the
+    well-balanced ceiling is 1 / sqrt(C) with C the coherence at
+    (rho, eta') = (1, 0), the unconstrained maximum. The causal family
+    loses a factor |cos(pi (h1-h2) / 2)|.
     """
-    _check_hurst_pair(h1, h2)
-    alpha = h1 + h2
-    rho_sq = (
-        _gamma(2.0 * h1 + 1.0)
-        * _gamma(2.0 * h2 + 1.0)
-        / _gamma(alpha + 1.0) ** 2
-        * np.sin(np.pi * h1)
-        * np.sin(np.pi * h2)
-        / np.sin(np.pi * alpha / 2.0) ** 2
-    )
+    rho = 1.0 / np.sqrt(pair_coherence_at(h1, h2, 1.0, 0.0))
     if case is SpecialCase.CAUSAL:
-        rho_sq *= np.cos(np.pi * (h1 - h2) / 2.0) ** 2
-    return float(np.sqrt(rho_sq))
+        rho *= abs(np.cos(np.pi * (h1 - h2) / 2.0))
+    return float(rho)
 
 
 def pair_coherence_at(
@@ -141,7 +137,9 @@ def pair_coherence_at(
     pairs eta = eta' / (1 - h1 - h2); for unit-sum pairs eta' is the
     coefficient itself. Both exponents must lie in (0, 1).
     """
-    _check_hurst_pair(h1, h2)
+    for h in (h1, h2):
+        if not 0.0 < h < 1.0:
+            raise ValueError(f"Hurst exponent {h} outside (0, 1)")
     params = MfbmParams(
         H=[h1, h2],
         sigma=[1.0, 1.0],

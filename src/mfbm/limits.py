@@ -20,7 +20,6 @@ p^2 (2K + 1) floats; realize_kernel gives the coefficients themselves.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .circulant import _check_seed, _replicate_rng
-from .params import MfbmParams, _check_int
+from .params import MfbmParams, _check_int, _check_real
 from .representations import MovingAveragePair, params_from_ma
 
 __all__ = [
@@ -76,14 +75,8 @@ class KernelSide:
 
     def __post_init__(self):
         object.__setattr__(self, "regime", KernelRegime(self.regime))
-        for name in ("alpha", "d"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"kernel {name} must be a real number, got {value!r}")
-        if self.alpha == 0.0 or not np.isfinite(self.alpha):
-            raise ValueError(
-                f"kernel tail constant alpha must be finite and nonzero, got {self.alpha!r}"
-            )
+        _check_real("kernel alpha", self.alpha, nonzero=True)
+        _check_real("kernel d", self.d)
         if self.regime is KernelRegime.POWER_POS and not 0.0 < self.d < 0.5:
             raise ValueError(f"positive power regime needs d in (0, 1/2), got {self.d}")
         if self.regime is KernelRegime.POWER_NEG and not -0.5 < self.d < 0.0:

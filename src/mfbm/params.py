@@ -9,6 +9,8 @@ told apart by the pair kind.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -49,6 +51,16 @@ def _check_int(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def _check_real(name: str, value, nonzero: bool = False) -> None:
+    """Refuse value, naming the field, unless it is a finite real number
+    (numpy's included, a bool not), and a nonzero one when asked."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value) or (nonzero and value == 0):
+        rule = "finite and nonzero" if nonzero else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def _frozen_array(values, ndim: int) -> np.ndarray:
     out = np.array(values, dtype=float)
     if out.ndim < ndim:
@@ -71,7 +83,7 @@ class MfbmParams:
     eta : (p, p) antisymmetric array. Entry (i, j) is the antisymmetric
         cross coefficient; for unit-sum pairs it is eta~.
     one_tol : width of the band around H_i + H_j = 1 classified as a
-        unit-sum pair.
+        unit-sum pair; a finite real number (a bool is refused).
     """
 
     H: np.ndarray
@@ -85,6 +97,7 @@ class MfbmParams:
         object.__setattr__(self, "sigma", _frozen_array(self.sigma, 1))
         object.__setattr__(self, "rho", _frozen_array(self.rho, 2))
         object.__setattr__(self, "eta", _frozen_array(self.eta, 2))
+        _check_real("one_tol", self.one_tol)
         object.__setattr__(self, "one_tol", float(self.one_tol))
 
     @property
@@ -217,7 +230,7 @@ def params_from_dict(payload: dict) -> MfbmParams:
         sigma=sigma,
         rho=rho,
         eta=eta,
-        one_tol=float(payload.get("one_tol", 1e-9)),
+        one_tol=payload.get("one_tol", 1e-9),
     )
     declared = payload.get("p")
     if declared is not None:

@@ -20,12 +20,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .existence import PSD_TOL, SpecialCase, _ridged_cholesky, check_admissibility
+from .existence import (
+    PSD_TOL, CovarianceExistenceError, SpecialCase, _ridged_cholesky, check_admissibility,
+)
 from .params import MfbmParams, _unit_sum
-from .spectral import _coherence, _gamma, _pair_weights, admissibility_matrix
+from .spectral import _gamma, _pair_weights, admissibility_matrix
 
 __all__ = [
-    "CovarianceExistenceError",
     "SpectralFactor",
     "MovingAveragePair",
     "gram_target",
@@ -38,10 +39,6 @@ __all__ = [
 ]
 
 HALF_EXPONENT_TOL = 1e-8
-
-
-class CovarianceExistenceError(ValueError):
-    """Raised when parameters do not define a legitimate covariance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,27 +74,19 @@ def gram_target(params: MfbmParams) -> np.ndarray:
     Entry (i, j): (sigma_i sigma_j / 2 pi) Gamma(H_i+H_j+1) times the
     positive-frequency spectral coefficient.
     """
-    return _scaled_gram(params, admissibility_matrix(params))
-
-
-def _scaled_gram(params: MfbmParams, q: np.ndarray) -> np.ndarray:
+    q = admissibility_matrix(params)
     return np.outer(params.sigma, params.sigma) / (2.0 * np.pi) * q
 
 
 def spectral_factor(params: MfbmParams) -> SpectralFactor:
     """Lower-triangular factor of the Gram target via Cholesky.
 
-    Admissibility is checked first; a semidefinite target (boundary
-    parameters) is factored after a recorded ridge of PSD_TOL times the
-    largest diagonal entry, doubled until the factorization succeeds.
+    Admissibility is required first (CovarianceExistenceError); a
+    semidefinite target (boundary parameters) is factored after a recorded
+    ridge of PSD_TOL times the largest diagonal entry, doubled until the
+    factorization succeeds.
     """
-    report = check_admissibility(params)
-    if not report.admissible:
-        raise CovarianceExistenceError(
-            "parameters admit no valid covariance: admissibility matrix has "
-            f"minimum eigenvalue {report.min_eigenvalue:.3e} "
-            f"(threshold -{report.threshold:.3e})"
-        )
+    check_admissibility(params).require()
     target = gram_target(params)
     shift = PSD_TOL * float(np.max(np.real(np.diag(target))))
     if shift <= 0.0:
@@ -119,17 +108,16 @@ def spectral_factor_p2(params: MfbmParams) -> SpectralFactor:
     entries are G_ij (1 + i r) / sqrt(2 G_jj) and the diagonal ones
     sqrt(G_ii / 2). For a pair with vanishing cross coefficients (C = 0)
     the factor is diagonal, sqrt(G_ii), each entry carrying the full
-    component variance.
+    component variance. Existence is left to check_admissibility, whose
+    report gives C; a set it admits with C a round-off above 1 is factored
+    with r = 0, so A A* matches G to within that excess.
     """
     if params.p != 2:
         raise ValueError("closed-form factor is specific to p = 2")
-    q = admissibility_matrix(params)
-    c = _coherence(q)[0, 1]
-    if c > 1.0 + 1e-12:
-        raise CovarianceExistenceError(
-            f"pair coherence {c:.6f} exceeds 1; no valid covariance exists"
-        )
-    target = _scaled_gram(params, q)
+    report = check_admissibility(params)
+    report.require()
+    c = report.coherence
+    target = gram_target(params)
     diag = np.real(np.diag(target))
     if c == 0.0:
         return SpectralFactor(matrix=np.diag(np.sqrt(diag)).astype(complex))

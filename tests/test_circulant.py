@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mfbm import (
     CirculantEmbeddingError,
+    CovarianceExistenceError,
     EigPolicy,
     Ensemble,
     SimulationConfig,
@@ -90,8 +91,16 @@ def test_dense_oracle_refuses_non_integer_settings(field, bad):
         dense_oracle_simulate(make_params([0.3]), **{"n": 4, field: bad})
 
 
+def test_dense_oracle_refuses_a_set_without_covariance():
+    # both used to be sampled after a diagonal ridge (0.27 and 70.4 at n = 8)
+    with pytest.raises(CovarianceExistenceError):
+        dense_oracle_simulate(make_params([0.2, 0.8], rho01=0.95), 8)
+    with pytest.raises(ValueError, match="^invalid parameters"):
+        dense_oracle_simulate(make_params([1.5]), 8)
+
+
 def test_build_plan_rejects_inadmissible():
-    with pytest.raises(CirculantEmbeddingError):
+    with pytest.raises(CovarianceExistenceError):
         build_plan(make_params([0.1, 0.8], rho01=0.9), SimulationConfig(n=8))
 
 
@@ -293,6 +302,14 @@ def test_simulate_meta_records_run(rng):
     assert meta["doublings"] == plan.doublings == 0
     assert meta["min_rel_eigenvalue"] == plan.min_rel_eigenvalue
     assert "integrate" not in meta and "replicate" not in meta
+
+
+def test_simulate_meta_records_the_plan_policy():
+    # the record used to copy the sampling config's policy, "grow" here
+    plan = build_plan(STUBBORN, SimulationConfig(n=8, m=16, eig_policy="truncate"))
+    assert plan.eig_policy is EigPolicy.TRUNCATE
+    meta = simulate(plan, SimulationConfig(n=8, m=16)).meta
+    assert meta["eig_policy"] == "truncate" and meta["exact"] is False
 
 
 def test_simulate_returns_one_ensemble_with_one_record(rng):

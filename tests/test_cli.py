@@ -122,13 +122,10 @@ def test_check_admissible_and_not(params_file, tmp_path, capsys):
     assert "admissible: False" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-10"])
-def test_check_rejects_bad_psd_tol(tmp_path, capsys, tol):
-    # smallest eigenvalue -0.337: an infinite tolerance used to admit it
-    hot = tmp_path / "hot.json"
-    dump_params(make_params([0.1, 0.8], rho01=0.9), hot)
-    assert main(["check", "--params", str(hot), f"--psd-tol={tol}"]) == 2
-    assert "psd_tol must be finite and nonnegative" in capsys.readouterr().err
+def test_check_has_no_tolerance_option(params_file):
+    with pytest.raises(SystemExit) as caught:
+        main(["check", "--params", params_file, "--psd-tol", "0"])
+    assert caught.value.code == 2
 
 
 def test_check_boundary_curve(params_file, tmp_path):
@@ -465,6 +462,56 @@ def test_simulate_rejects_inadmissible(tmp_path):
         ["simulate", "--params", str(hot), "--n", "8", "--out", str(tmp_path / "x")]
     )
     assert rc == 1
+
+
+# the pair (0.1, 0.8) with rho = 0.9 lies beyond its 0.514 ceiling; the
+# edge file sits a relative 1e-11 above the ceiling of (0.3, 0.6), inside
+# the existence rule's round-off tolerance
+NO_COVARIANCE = {
+    "p2": make_params([0.1, 0.8], rho01=0.9),
+    "p3": make_params([0.1, 0.8, 0.5], rho01=0.9),
+}
+EDGE = make_params(
+    [0.3, 0.6], rho01=max_correlation(0.3, 0.6, SpecialCase.WELL_BALANCED) * (1.0 + 1e-11)
+)
+
+
+def _existence_exit_codes(params, tmp_path) -> list[int]:
+    path = tmp_path / "params.json"
+    dump_params(params, path)
+    return [
+        main(["check", "--params", str(path)]),
+        main(["simulate", "--params", str(path), "--n", "8", "--out", str(tmp_path / "runs")]),
+        main(["represent", "--params", str(path), "--out", str(tmp_path / "factor.json")]),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(NO_COVARIANCE))
+def test_commands_agree_on_a_set_without_covariance(tmp_path, capsys, name):
+    # represent exited 2 here, against the documented 1 of check and simulate
+    assert _existence_exit_codes(NO_COVARIANCE[name], tmp_path) == [1, 1, 1]
+    assert capsys.readouterr().err.count("parameters admit no valid covariance") == 2
+
+
+def test_commands_agree_on_the_edge_of_admissibility(tmp_path):
+    # represent used to refuse this file through a cut-off of its own
+    assert _existence_exit_codes(EDGE, tmp_path) == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "text", ["true", "[1]", '"1e-9"', "Infinity"], ids=["bool", "list", "string", "inf"]
+)
+def test_one_tol_must_be_a_finite_real_number(tmp_path, capsys, text):
+    # true ran as one_tol = 1, [1] ended in a TypeError traceback, a
+    # string was cast, and an infinite band made every pair unit-sum
+    payload = json.dumps(params_to_dict(make_params([0.3, 0.7], rho01=0.3)))
+    path = tmp_path / "params.json"
+    path.write_text(payload.replace('"one_tol": 1e-09', f'"one_tol": {text}'))
+    assert main(["check", "--params", str(path)]) == 2
+    assert "one_tol must be" in capsys.readouterr().err
+    payload = {k: v for k, v in json.loads(payload).items() if k != "one_tol"}
+    path.write_text(json.dumps(payload))
+    assert load_params(path).one_tol == 1e-9
 
 
 def test_limits_subcommand(kernels_file, tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from mfbm import (
+    CovarianceExistenceError,
     SpecialCase,
     admissibility_matrix,
     admissible_boundary,
@@ -47,6 +49,15 @@ def test_check_admissibility_accepts_and_rejects():
     assert bad.coherence > 1.0
 
 
+def test_require_is_the_one_refusal():
+    assert check_admissibility(make_params([0.3, 0.7], rho01=0.3)).require() is None
+    bad = check_admissibility(make_params([0.1, 0.8], rho01=0.9))
+    with pytest.raises(CovarianceExistenceError, match="^parameters admit no valid covariance"):
+        bad.require()
+    # one tolerance, PSD_TOL: the rule takes the parameters alone
+    assert list(inspect.signature(check_admissibility).parameters) == ["params"]
+
+
 def test_check_admissibility_no_pair_coherence_beyond_two(rng):
     report = check_admissibility(random_admissible(rng, 3))
     assert report.coherence is None
@@ -54,12 +65,9 @@ def test_check_admissibility_no_pair_coherence_beyond_two(rng):
 
 def test_check_admissibility_threshold():
     params = make_params([0.3, 0.7], rho01=0.3)
-    report = check_admissibility(params, psd_tol=1e-10)
+    report = check_admissibility(params)
     q_scale = np.abs(admissibility_matrix(params)).max()
     assert report.threshold == pytest.approx(1e-10 * q_scale, rel=1e-12)
-    for bad in (-1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="psd_tol must be finite and nonnegative"):
-            check_admissibility(params, psd_tol=bad)
 
 
 def test_check_admissibility_rejects_non_finite_entries():
@@ -111,7 +119,7 @@ def test_psd_and_pair_coherence_agree(rng):
         rho = rng.uniform(-1.0, 1.0)
         eta = rng.uniform(-1.5, 1.5)
         params = make_params([h1, h2], rho01=rho, eta01=eta)
-        report = check_admissibility(params, psd_tol=0.0)
+        report = check_admissibility(params)
         c = report.coherence
         if abs(c - 1.0) <= 1e-9:
             continue

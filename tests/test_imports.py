@@ -104,3 +104,110 @@ def test_pair_rule_modules_never_read_pair_kind():
     for stem in ("covariance", "spectral", "cli"):
         names = referenced_names((PACKAGE / f"{stem}.py").read_text())
         assert not names & {"PairKind", "pair_kind"}, stem
+
+
+# The existence rule lives in mfbm.existence alone: one raise carries its
+# message, and nowhere else compares a coherence with 1 or scales PSD_TOL
+# into a threshold. spectral_factor reads PSD_TOL for its ridge shift only.
+NO_COVARIANCE = "admit no valid covariance"
+COHERENCE_CALLS = {"coherence", "_coherence", "pair_coherence_at"}
+PSD_TOL_READERS = {("representations", "spectral_factor")}
+
+
+def raise_messages(source: str) -> list[str]:
+    """Every string constant inside a raise statement, f-string parts included."""
+    return [
+        node.value
+        for statement in ast.walk(ast.parse(source))
+        if isinstance(statement, ast.Raise)
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+
+
+def _mentions_coherence(node: ast.AST) -> bool:
+    """Whether node calls a coherence function or reads a .coherence field."""
+    return any(
+        (isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None))
+         in COHERENCE_CALLS)
+        or (isinstance(n, ast.Attribute) and n.attr == "coherence")
+        for n in ast.walk(node)
+    )
+
+
+def coherence_unit_comparisons(source: str) -> int:
+    """Comparisons holding the constant 1 and a coherence: a call of a
+    coherence function, a .coherence field or a name assigned from either."""
+    tree = ast.parse(source)
+    coherent = {
+        name.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _mentions_coherence(node.value)
+        for target in node.targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    }
+    count = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        parts = list(ast.walk(node))
+        one = any(
+            isinstance(n, ast.Constant) and type(n.value) in (int, float) and n.value == 1
+            for n in parts
+        )
+        coherence = _mentions_coherence(node) or any(
+            isinstance(n, ast.Name) and n.id in coherent for n in parts
+        )
+        count += one and coherence
+    return count
+
+
+def psd_tol_readers(source: str) -> set[str]:
+    """Top-level functions and classes that read PSD_TOL, "<module>" for
+    module-level statements."""
+    found = set()
+    for statement in ast.parse(source).body:
+        if any(
+            (isinstance(n, ast.Name) and n.id == "PSD_TOL" and isinstance(n.ctx, ast.Load))
+            or (isinstance(n, ast.Attribute) and n.attr == "PSD_TOL")
+            for n in ast.walk(statement)
+        ):
+            found.add(getattr(statement, "name", "<module>"))
+    return found
+
+
+def test_existence_rule_helpers_find_copies():
+    copy = (
+        "def f(q):\n"
+        "    c = _coherence(q)[0, 1]\n"
+        "    if c > 1.0 + 1e-12:\n"
+        "        raise E(f'coherence {c} exceeds 1; {1}: admit no valid covariance')\n"
+        "    if c == 0.0 or report.coherence <= 1:\n"
+        "        return max(1.0 - c, 0.0)\n"
+        "    d = report.coherence\n"
+        "    return d >= 1\n"
+        "T = 2 * PSD_TOL\n"
+        "def g(q):\n"
+        "    return mod.PSD_TOL * q\n"
+    )
+    assert any(NO_COVARIANCE in m for m in raise_messages(copy))
+    assert coherence_unit_comparisons(copy) == 3
+    assert psd_tol_readers(copy) == {"<module>", "g"}
+    assert coherence_unit_comparisons("c = _coherence(q)\nok = c == 0.0 or x <= 1\n") == 0
+
+
+def test_existence_rule_is_written_once():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    refusals = {
+        stem: sum(NO_COVARIANCE in m for m in raise_messages(source))
+        for stem, source in sources.items()
+    }
+    assert {stem: k for stem, k in refusals.items() if k} == {"existence": 1}
+    others = {stem: source for stem, source in sources.items() if stem != "existence"}
+    compared = {stem for stem, source in others.items() if coherence_unit_comparisons(source)}
+    assert not compared, f"coherence compared with 1 outside existence: {sorted(compared)}"
+    readers = {
+        (stem, name) for stem, source in others.items() for name in psd_tol_readers(source)
+    }
+    assert readers == PSD_TOL_READERS

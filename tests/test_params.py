@@ -81,6 +81,15 @@ def test_validation_rejects_negative_one_tol():
     assert not validate(params).ok
 
 
+@pytest.mark.parametrize("one_tol", [True, np.inf, np.nan, "1e-9"])
+def test_one_tol_must_be_a_finite_real_number(one_tol):
+    # True ran as 1.0 and a string was cast; an infinite band passed
+    # validate, and every pair, diagonal ones included, took the unit-sum
+    # branch
+    with pytest.raises(ValueError, match="^one_tol must be"):
+        make_params([0.4, 0.6], one_tol=one_tol)
+
+
 def test_pair_kind_window():
     params = make_params([0.3, 0.7])
     assert params.pair_kind(0, 1) is PairKind.UNIT_SUM

@@ -12,6 +12,7 @@ from mfbm import (
     SpecialCase,
     gram_target,
     ma_from_spectral,
+    max_correlation,
     mfbm_covariance,
     params_from_ma,
     special_case_eta,
@@ -20,6 +21,7 @@ from mfbm import (
     spectral_from_ma,
     validate,
 )
+from mfbm.existence import PSD_TOL
 from conftest import make_params, random_admissible
 
 # Quadrature oracle, frozen: E X_i(t) X_j(s) computed by numerically
@@ -94,6 +96,20 @@ def test_explicit_p2_factor_reproduces_gram(rng):
             assert np.allclose(
                 a @ a.conj().T, want, rtol=0, atol=1e-12 * np.abs(want).max()
             )
+
+
+def test_explicit_p2_factor_on_the_edge_of_admissibility():
+    # rho a relative 1e-11 above its ceiling: coherence 1 + 2e-11, which
+    # check_admissibility admits and spectral_factor_p2 used to refuse.
+    # The target is then indefinite by about 4e-12 of its largest entry, so
+    # no factor reproduces it to 1e-12; the bound is the rule's PSD_TOL.
+    h1, h2 = 0.3, 0.6
+    rho = max_correlation(h1, h2, SpecialCase.WELL_BALANCED) * (1.0 + 1e-11)
+    params = make_params([h1, h2], rho01=rho)
+    assert check_admissibility(params).admissible
+    a = spectral_factor_p2(params).matrix
+    want = gram_target(params)
+    assert np.allclose(a @ a.conj().T, want, rtol=0, atol=PSD_TOL * np.abs(want).max())
 
 
 def test_explicit_p2_requires_two_components(rng):
