@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import MfbmParams, _unit_sum
+from .params import MfbmParams, _check_step, _unit_sum
 
 __all__ = [
     "structure_function",
@@ -69,11 +69,6 @@ def _blocks(rule, params: MfbmParams, *arrays) -> np.ndarray:
         rows = rule(params, i, j, *(x[part] for x in arrays))
         out[part] = rows.reshape(p, p, len(part)).transpose(2, 0, 1)
     return out
-
-
-def _check_step(delta: float) -> None:
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
 def structure_function(params: MfbmParams, i: int, j: int, h) -> np.ndarray | float:

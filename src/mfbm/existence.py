@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import MfbmParams, PairKind, eta_from_prime, validate
+from .params import MfbmParams, PairKind, eta_from_prime
 from .spectral import _coherence, admissibility_matrix, coherence
 
 __all__ = [
@@ -71,12 +71,9 @@ def check_admissibility(params: MfbmParams) -> AdmissibilityReport:
     Admissible iff the minimum eigenvalue is at least -PSD_TOL times the
     largest entry modulus. Eigenvalues rather than a Cholesky attempt so
     the margin is visible in the report; every sampler, factor and CLI
-    command refuses through its require(). Structurally invalid parameters
-    (see params.validate) raise ValueError instead of yielding a report.
+    command refuses through its require(). params is well formed: an
+    MfbmParams is validated when it is built.
     """
-    report = validate(params)
-    if not report.ok:
-        raise ValueError(f"invalid parameters: {report}")
     q = admissibility_matrix(params)
     eigenvalues = np.linalg.eigvalsh(q)
     threshold = PSD_TOL * float(np.max(np.abs(q)))
@@ -135,11 +132,9 @@ def pair_coherence_at(
 
     eta' is the branch-continuous antisymmetric coordinate: for generic
     pairs eta = eta' / (1 - h1 - h2); for unit-sum pairs eta' is the
-    coefficient itself. Both exponents must lie in (0, 1).
+    coefficient itself. The bivariate set is built, and so validated, like
+    any other: exponents outside (0, 1) or |rho| > 1 raise ValueError.
     """
-    for h in (h1, h2):
-        if not 0.0 < h < 1.0:
-            raise ValueError(f"Hurst exponent {h} outside (0, 1)")
     params = MfbmParams(
         H=[h1, h2],
         sigma=[1.0, 1.0],

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .circulant import _check_seed, _replicate_rng
-from .params import MfbmParams, _check_int, _check_real
+from .params import MfbmParams, _check_declared_p, _check_int, _check_real
 from .representations import MovingAveragePair, params_from_ma
 
 __all__ = [
@@ -162,10 +162,7 @@ def load_kernel_spec(path: str | Path) -> KernelSpec:
             raise ValueError(f"kernel spec {key!r} must be a list of lists, got {grid!r}")
         grids[key] = tuple(tuple(_kernel_cell(c) for c in row) for row in grid)
     spec = KernelSpec(**grids, truncation=payload.get("truncation"))
-    if "p" in payload:
-        _check_int("p", payload["p"])
-        if payload["p"] != spec.p:
-            raise ValueError(f"declared p={payload['p']} but grids are {spec.p} wide")
+    _check_declared_p(payload, spec.p, "len(plus)")
     return spec
 
 

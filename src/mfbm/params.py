@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "PairKind",
     "MfbmParams",
-    "ValidationReport",
     "validate",
     "eta_prime",
     "eta_from_prime",
@@ -61,6 +60,23 @@ def _check_real(name: str, value, nonzero: bool = False) -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def _check_step(delta) -> None:
+    """Refuse an increment step delta unless it is positive and finite."""
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
+def _check_declared_p(payload: dict, p: int, counted: str) -> None:
+    """Refuse the p a JSON payload declares, when it has one, unless it is
+    an integer equal to p; null is refused like any non-integer. counted
+    names what p counts, for the message."""
+    if "p" in payload:
+        declared = payload["p"]
+        _check_int("p", declared)
+        if declared != p:
+            raise ValueError(f"declared p={declared} does not match {counted}={p}")
+
+
 def _frozen_array(values, ndim: int) -> np.ndarray:
     out = np.array(values, dtype=float)
     if out.ndim < ndim:
@@ -72,6 +88,10 @@ def _frozen_array(values, ndim: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class MfbmParams:
     """Parameter set of a p-variate fractional Brownian motion.
+
+    Valid by construction: building one, dataclasses.replace included,
+    runs :func:`validate`, so a malformed set raises ValueError and never
+    exists.
 
     Attributes
     ----------
@@ -99,6 +119,7 @@ class MfbmParams:
         object.__setattr__(self, "eta", _frozen_array(self.eta, 2))
         _check_real("one_tol", self.one_tol)
         object.__setattr__(self, "one_tol", float(self.one_tol))
+        validate(self)
 
     @property
     def p(self) -> int:
@@ -120,63 +141,49 @@ class MfbmParams:
         return PairKind.GENERIC_SUM
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Collected structural violations; empty means the set is well formed."""
+def validate(params: MfbmParams) -> None:
+    """Check every structural invariant; raise one ValueError, "invalid
+    parameters: " and every violation found, '; '-joined, if any fails.
 
-    violations: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "; ".join(self.violations)
-
-
-def validate(params: MfbmParams) -> ValidationReport:
-    """Check every structural invariant and report all violations found.
-
-    Value checks are exact: rho must equal its transpose bitwise, eta must
-    equal its negated transpose, diagonals must be exactly 1 and 0.
+    MfbmParams runs it on construction. Value checks are exact: rho must
+    equal its transpose bitwise, eta must equal its negated transpose,
+    diagonals must be exactly 1 and 0.
     """
     v: list[str] = []
     p = params.p
     H, sigma, rho, eta = params.H, params.sigma, params.rho, params.eta
 
     if H.ndim != 1 or p == 0:
-        v.append("H must be a nonempty vector")
-        return ValidationReport(tuple(v))
+        raise ValueError("invalid parameters: H must be a nonempty vector")
     for name, values in (("H", H), ("sigma", sigma), ("rho", rho), ("eta", eta)):
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             v.append(f"every {name} entry must be finite")
-    if not np.all((H > 0.0) & (H < 1.0)):
-        v.append("every H_i must lie strictly inside (0, 1)")
+    if not ((H > 0.0) & (H < 1.0)).all():
+        v.append(f"every H_i must lie inside (0, 1); H = {H.tolist()} has one outside")
     if sigma.shape != (p,):
         v.append(f"sigma must have shape ({p},), got {sigma.shape}")
-    elif not np.all(sigma > 0.0):
+    elif not (sigma > 0.0).all():
         v.append("every sigma_i must be positive")
     if rho.shape != (p, p):
         v.append(f"rho must have shape ({p}, {p}), got {rho.shape}")
     else:
-        if not np.array_equal(rho, rho.T):
+        if not (rho == rho.T).all():
             v.append("rho must be symmetric")
-        if not np.all(np.diag(rho) == 1.0):
+        if not (rho.diagonal() == 1.0).all():
             v.append("rho must have unit diagonal")
-        if not np.all(np.abs(rho) <= 1.0):
+        if not (np.abs(rho) <= 1.0).all():
             v.append("every |rho_ij| must be at most 1")
     if eta.shape != (p, p):
         v.append(f"eta must have shape ({p}, {p}), got {eta.shape}")
     else:
-        if not np.array_equal(eta, -eta.T):
+        if not (eta == -eta.T).all():
             v.append("eta must be antisymmetric")
-        if not np.all(np.diag(eta) == 0.0):
+        if not (eta.diagonal() == 0.0).all():
             v.append("eta must have zero diagonal")
     if not params.one_tol >= 0.0:
         v.append("one_tol must be nonnegative")
-    return ValidationReport(tuple(v))
+    if v:
+        raise ValueError("invalid parameters: " + "; ".join(v))
 
 
 def eta_prime(params: MfbmParams, i: int, j: int) -> float:
@@ -232,11 +239,7 @@ def params_from_dict(payload: dict) -> MfbmParams:
         eta=eta,
         one_tol=payload.get("one_tol", 1e-9),
     )
-    declared = payload.get("p")
-    if declared is not None:
-        _check_int("p", declared)
-        if declared != params.p:
-            raise ValueError(f"declared p={declared} does not match len(H)={params.p}")
+    _check_declared_p(payload, params.p, "len(H)")
     return params
 
 

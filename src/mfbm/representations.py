@@ -204,7 +204,10 @@ def params_from_ma(ma: MovingAveragePair, H, one_tol: float = 1e-9) -> MfbmParam
         raise ValueError(f"row {bad[0]} of the kernel weights carries no variance")
     sigma = np.sqrt(var)
     c = q / np.outer(sigma, sigma)
-    rho, eta = c.real / s, -c.imag / t
+    # |Re c| <= sqrt(sin(pi H_i) sin(pi H_j)) <= s (Cauchy-Schwarz, then
+    # log sin concave), so |rho| <= 1; the clip drops the round-off above
+    # it, as when two rows drive their components in proportion
+    rho, eta = np.maximum(np.minimum(c.real / s, 1.0), -1.0), -c.imag / t
     # mirror each pair i < j: rho symmetric, eta antisymmetric, + 0.0 unsigns zeros
     lower = np.tri(H.shape[0], k=-1, dtype=bool)
     rho[lower], eta[lower] = rho.T[lower], -eta.T[lower]

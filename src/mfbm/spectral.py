@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .params import MfbmParams, _unit_sum
+from .params import MfbmParams, _check_step, _unit_sum
 
 __all__ = [
     "spectral_coeff",
@@ -84,8 +84,7 @@ def admissibility_matrix(params: MfbmParams) -> np.ndarray:
 
 
 def _omega_array(omega, delta: float) -> np.ndarray:
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    _check_step(delta)
     omega = np.asarray(omega, dtype=float)
     if np.any(omega == 0.0):
         raise ValueError("omega = 0 is outside the domain of the density")

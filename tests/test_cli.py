@@ -768,9 +768,12 @@ def test_limits_rejects_mismatched_p(tmp_path):
     assert main(["limits", "--kernels", str(path), "--n-grid", "8"]) == 2
 
 
-@pytest.mark.parametrize("declared", [True, 1.7, [1]], ids=["bool", "float", "list"])
+@pytest.mark.parametrize(
+    "declared", [True, 1.7, [1], None], ids=["bool", "float", "list", "null"]
+)
 def test_input_files_refuse_a_non_integer_p(tmp_path, capsys, declared):
-    # check exited 0 on true and 1.7 and 1 on [1]; limits exited 0 on true
+    # check exited 0 on true and 1.7 and 1 on [1]; limits exited 0 on true;
+    # check exited 0 on null, which limits refused
     params = {**params_to_dict(make_params([0.3])), "p": declared}
     kernels = {"p": declared, "plus": [[CELL]], "minus": [[None]]}
     for name, payload, argv in [
@@ -781,6 +784,25 @@ def test_input_files_refuse_a_non_integer_p(tmp_path, capsys, declared):
         path.write_text(json.dumps(payload))
         assert main([*argv, str(path)]) == 2
         assert "p must be a positive integer" in capsys.readouterr().err
+
+
+def test_numbers_too_big_for_a_float_exit_2(tmp_path, capsys):
+    # each ended in an OverflowError traceback with exit code 1
+    huge = "1" * 401
+    params = json.dumps(params_to_dict(make_params([0.3, 0.7], rho01=0.3)))
+    kernels = json.dumps({"plus": [[{**CELL, "alpha": 1.0}]], "minus": [[None]]})
+    check = ["check", "--params"]
+    limits = ["limits", "--n-grid", "8", "--replicates", "2", "--kernels"]
+    for name, text, argv in [
+        ("one_tol", params.replace('"one_tol": 1e-09', f'"one_tol": {huge}'), check),
+        ("H", params.replace('"H": [0.3,', f'"H": [{huge},'), check),
+        ("alpha", kernels.replace('"alpha": 1.0', f'"alpha": {huge}'), limits),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert huge in text
+        assert main([*argv, str(path)]) == 2, name
+        assert "too large" in capsys.readouterr().err, name
 
 
 def test_module_entry_point(params_file):

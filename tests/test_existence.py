@@ -41,7 +41,6 @@ def test_admissibility_matrix_hermitian_and_diagonal(rng):
 def test_check_admissibility_accepts_and_rejects():
     ok = check_admissibility(make_params([0.3, 0.7], rho01=0.3))
     assert ok.admissible
-    assert bool(ok)
     assert ok.coherence is not None and ok.coherence < 1.0
     # 0.9 exceeds the 0.514 ceiling for these exponents
     bad = check_admissibility(make_params([0.1, 0.8], rho01=0.9))
@@ -71,12 +70,12 @@ def test_check_admissibility_threshold():
 
 
 def test_check_admissibility_rejects_non_finite_entries():
-    # validation runs first, so no NaN eigenvalue and no RuntimeWarning
-    params = make_params([0.3, 0.7], rho01=0.3, eta01=np.inf)
+    # the set is refused when it is built, so check_admissibility never
+    # meets it: no NaN eigenvalue and no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="invalid parameters.*eta"):
-            check_admissibility(params)
+        with pytest.raises(ValueError, match="^invalid parameters: every eta entry"):
+            check_admissibility(make_params([0.3, 0.7], rho01=0.3, eta01=np.inf))
 
 
 def test_max_correlation_frozen_anchors():

@@ -211,3 +211,42 @@ def test_existence_rule_is_written_once():
         (stem, name) for stem, source in others.items() for name in psd_tol_readers(source)
     }
     assert readers == PSD_TOL_READERS
+
+
+def validate_callers(source: str) -> list[str]:
+    """Where the source calls validate(...), once per call: the dotted name
+    of the enclosing definition, "<module>" at module level."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                getattr(child.func, "id", getattr(child.func, "attr", None)) == "validate"
+            ):
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_validate_callers_finds_every_call():
+    source = (
+        "def f(p):\n    return validate(p)\n"
+        "class C:\n    def g(self):\n        params.validate(self)\n"
+        "validate(x)\nvalidated(x)\n"
+    )
+    assert validate_callers(source) == ["f", "C.g", "<module>"]
+
+
+def test_structural_rule_runs_at_construction_only():
+    # an MfbmParams is valid by construction, so no caller checks one again
+    calls = [
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in validate_callers(path.read_text())
+    ]
+    assert calls == ["params.MfbmParams.__post_init__"]

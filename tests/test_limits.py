@@ -608,3 +608,13 @@ def test_coupled_positive_kernels_approach_their_target():
         stderr = sample.std() / np.sqrt(reps)
         # finite-n bias of the scaled sums stays under ~15% here
         assert abs(sample.mean() - want) <= 5.0 * stderr + 0.15 * abs(want)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, -1.0])
+def test_limit_of_one_noise_in_two_components_has_rho_of_one(alpha):
+    # both components sum the same noise through d = 0.3 kernels, so their
+    # limits move in proportion and |rho| = 1; computed, it rounded above 1
+    # and the limit set was refused as malformed
+    cell = lambda a: KernelSide(KernelRegime.POWER_POS, alpha=a, d=0.3)
+    spec = KernelSpec(plus=((cell(1.0), None), (cell(alpha), None)), minus=((None, None),) * 2)
+    assert limit_target(spec).params.rho[0, 1] == np.sign(alpha)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,13 +8,18 @@ from mfbm import (
     MfbmParams,
     PairKind,
     SpecialCase,
+    cross_spectral_density,
     dump_params,
     eta_from_prime,
     eta_prime,
+    lag_block_array,
     load_params,
+    mfbm_covariance,
+    pair_coherence_at,
     params_from_dict,
     params_to_dict,
     special_case_eta,
+    toeplitz_covariance,
     validate,
 )
 from mfbm.spectral import _pair_weights
@@ -22,9 +28,7 @@ from conftest import make_params
 
 def test_valid_params_pass_validation():
     params = make_params([0.3, 0.7], rho01=0.4, eta01=0.1)
-    report = validate(params)
-    assert report.ok
-    assert report.violations == ()
+    assert validate(params) is None
 
 
 def test_arrays_are_frozen():
@@ -35,25 +39,32 @@ def test_arrays_are_frozen():
         params.rho[0, 1] = 0.2
 
 
+def violations(excinfo) -> list[str]:
+    """The violations a construction refusal lists, in order."""
+    text = str(excinfo.value)
+    assert text.startswith("invalid parameters: ")
+    return text[len("invalid parameters: "):].split("; ")
+
+
 def test_validation_collects_all_violations():
-    # deliberately broken on several axes at once
-    params = MfbmParams(
-        H=np.array([0.0, 1.2]),
-        sigma=np.array([1.0, -1.0]),
-        rho=np.array([[1.0, 0.5], [0.4, 0.9]]),
-        eta=np.array([[0.1, 0.2], [0.2, 0.0]]),
-    )
-    report = validate(params)
-    assert not report.ok
-    text = str(report)
-    assert len(report.violations) >= 4
+    # deliberately broken on several axes at once; one message names them all
+    with pytest.raises(ValueError) as excinfo:
+        MfbmParams(
+            H=np.array([0.0, 1.2]),
+            sigma=np.array([1.0, -1.0]),
+            rho=np.array([[1.0, 0.5], [0.4, 0.9]]),
+            eta=np.array([[0.1, 0.2], [0.2, 0.0]]),
+        )
+    found = violations(excinfo)
+    assert len(found) >= 4
     for word in ("H", "sigma", "rho", "eta"):
-        assert word in text
+        assert any(word in v for v in found)
 
 
 def test_validation_rejects_rho_above_one():
-    params = make_params([0.4, 0.6], rho01=1.5)
-    assert not validate(params).ok
+    with pytest.raises(ValueError) as excinfo:
+        make_params([0.4, 0.6], rho01=1.5)
+    assert violations(excinfo) == ["every |rho_ij| must be at most 1"]
 
 
 @pytest.mark.parametrize(
@@ -71,14 +82,59 @@ def test_validation_rejects_non_finite_entries(field, value):
         arrays[field][0, 1], arrays[field][1, 0] = value, sign * value
     else:
         arrays[field][1] = value
-    report = validate(MfbmParams(**arrays))
-    assert not report.ok
-    assert f"every {field} entry must be finite" in report.violations
+    with pytest.raises(ValueError) as excinfo:
+        MfbmParams(**arrays)
+    assert f"every {field} entry must be finite" in violations(excinfo)
 
 
 def test_validation_rejects_negative_one_tol():
-    params = make_params([0.4, 0.6], one_tol=-1.0)
-    assert not validate(params).ok
+    with pytest.raises(ValueError) as excinfo:
+        make_params([0.4, 0.6], one_tol=-1.0)
+    assert violations(excinfo) == ["one_tol must be nonnegative"]
+
+
+BUILDS = {
+    "direct": lambda rho01: make_params([0.4, 0.6], rho01=rho01),
+    "replace": lambda rho01: dataclasses.replace(
+        make_params([0.4, 0.6]), rho=[[1.0, rho01], [rho01, 1.0]]
+    ),
+    "from_dict": lambda rho01: params_from_dict(
+        {**params_to_dict(make_params([0.4, 0.6])), "rho": [[1.0, rho01], [rho01, 1.0]]}
+    ),
+    "pair_coherence_at": lambda rho01: pair_coherence_at(0.4, 0.6, rho01, 0.0),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_every_way_of_making_a_set_refuses_a_malformed_one(build):
+    # the one construction check: none of these holds a set with |rho| > 1
+    build(0.5)
+    with pytest.raises(ValueError) as excinfo:
+        build(1.5)
+    assert violations(excinfo) == ["every |rho_ij| must be at most 1"]
+
+
+MALFORMED = {
+    "H": {"H": [1.5], "sigma": [-1.0]},
+    "sigma": {"H": [0.3, 0.7], "sigma": [1.0, -1.0]},
+    "rho": {"H": [0.3, 0.7], "rho01": 2.0},
+}
+CLOSED_FORMS = {
+    "lag_block_array": lambda params: lag_block_array(params, [0.0, 1.0, 2.0]),
+    "toeplitz_covariance": lambda params: toeplitz_covariance(params, 3),
+    "mfbm_covariance": lambda params: mfbm_covariance(params, 0, 0, 1.0, 2.0),
+    "cross_spectral_density": lambda params: cross_spectral_density(params, 0, 0, 1.0),
+}
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
+@pytest.mark.parametrize("fields", MALFORMED.values(), ids=MALFORMED.keys())
+def test_closed_forms_never_see_a_malformed_set(form, fields):
+    # at H = 1.5 lag_block_array once returned [1, 3, 6] and, with
+    # sigma = -1, cross_spectral_density a negative density; rho01 = 2 gave
+    # a lag-0 block with 2 off the diagonal
+    with pytest.raises(ValueError, match="^invalid parameters: "):
+        form(make_params(**fields))
 
 
 @pytest.mark.parametrize("one_tol", [True, np.inf, np.nan, "1e-9"])
