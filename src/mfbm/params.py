@@ -55,7 +55,11 @@ def _check_real(name: str, value, nonzero: bool = False) -> None:
     (numpy's included, a bool not), and a nonzero one when asked."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value) or (nonzero and value == 0):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    if not finite or (nonzero and value == 0):
         rule = "finite and nonzero" if nonzero else "finite"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
@@ -77,8 +81,11 @@ def _check_declared_p(payload: dict, p: int, counted: str) -> None:
             raise ValueError(f"declared p={declared} does not match {counted}={p}")
 
 
-def _frozen_array(values, ndim: int) -> np.ndarray:
-    out = np.array(values, dtype=float)
+def _frozen_array(name: str, values, ndim: int) -> np.ndarray:
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} holds a number too large for a float") from None
     if out.ndim < ndim:
         out = out.reshape((1,) * (ndim - out.ndim) + out.shape)
     out.setflags(write=False)
@@ -113,10 +120,8 @@ class MfbmParams:
     one_tol: float = 1e-9
 
     def __post_init__(self):
-        object.__setattr__(self, "H", _frozen_array(self.H, 1))
-        object.__setattr__(self, "sigma", _frozen_array(self.sigma, 1))
-        object.__setattr__(self, "rho", _frozen_array(self.rho, 2))
-        object.__setattr__(self, "eta", _frozen_array(self.eta, 2))
+        for name, ndim in (("H", 1), ("sigma", 1), ("rho", 2), ("eta", 2)):
+            object.__setattr__(self, name, _frozen_array(name, getattr(self, name), ndim))
         _check_real("one_tol", self.one_tol)
         object.__setattr__(self, "one_tol", float(self.one_tol))
         validate(self)

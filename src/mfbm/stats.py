@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .circulant import Ensemble
-from .covariance import increment_covariance
+# increment_covariance is unused here; the benchmark tracer wraps it by this name
+from .covariance import increment_covariance, lag_block_array  # noqa: F401
 from .params import MfbmParams
 
 __all__ = [
@@ -93,32 +94,31 @@ def replicate_mean_stderr(values) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK_ROWS = 2048
 
 
-def _lag_moments(
-    values: np.ndarray, lags: Sequence[int]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Lag-h estimates and replicate stderrs of all pairs, (p, p) each, per lag.
+def _lag_moments(values: np.ndarray, lags: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and replicate stderrs of all pairs, two (L, p, p) arrays;
+    entry [k, i, j] is pair (i, j) at the integer lag h = lags[k].
 
     Replicate r contributes the average of values[r, t, i] * values[r, t + h, j]
     over the n - |h| overlapping t. One pass walks the time axis in chunks
     of _CHUNK_ROWS rows, across all replicates, and adds every lag's
-    batched matmul of two slice views of the chunk into one accumulator:
-    the ensemble is read once for all lags and none of it is copied.
+    batched matmul of two slice views of the chunk into one (R, L, p, p)
+    accumulator: the ensemble is read once for all lags and none of it is copied.
     """
-    lags = [int(h) for h in lags]
-    if not lags:
-        return []
     if values.ndim != 3:
         raise ValueError("values must have shape (replicates, n, p)")
     r_count, n, p = values.shape
     if r_count < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {r_count}")
     for h in lags:
+        if not float(h).is_integer():
+            raise ValueError(f"lag {h!r} must be an integer")
         if abs(h) >= n:
             raise ValueError(f"|h|={abs(h)} must be smaller than the path length {n}")
-    sums = np.zeros((len(lags), r_count, p, p))
+    lags = [int(h) for h in lags]
+    sums = np.zeros((r_count, len(lags), p, p))
     tmp = np.empty((r_count, p, p))
     for t0 in range(0, n, _CHUNK_ROWS):
-        for acc, h in zip(sums, lags):
+        for k, h in enumerate(lags):
             shift = abs(h)
             stop = min(t0 + _CHUNK_ROWS, n - shift)
             if stop <= t0:
@@ -126,8 +126,9 @@ def _lag_moments(
             lead, lag = values[:, t0:stop], values[:, t0 + shift : stop + shift]
             if h < 0:
                 lead, lag = lag, lead
-            acc += np.matmul(lead.transpose(0, 2, 1), lag, out=tmp)
-    return [replicate_mean_stderr(acc / (n - abs(h))) for acc, h in zip(sums, lags)]
+            sums[:, k] += np.matmul(lead.transpose(0, 2, 1), lag, out=tmp)
+    sums /= (n - np.abs(lags))[:, None, None]
+    return replicate_mean_stderr(sums)
 
 
 def empirical_cross_cov(
@@ -137,11 +138,15 @@ def empirical_cross_cov(
 
     Positive h pairs component i at t with component j at t + h. The
     per-replicate statistic averages the n - |h| overlapping products;
-    no sample mean is subtracted. It is the (i, j) entry of the lag-h
-    cell block compare_report forms, and equal to it exactly.
+    no sample mean is subtracted. It is entry [0, i, j] of the moments
+    of the one lag h, equal to compare_report's (i, j, h) cell exactly.
     """
-    [(estimates, stderrs)] = _lag_moments(np.asarray(values), [h])
-    return float(estimates[i, j]), float(stderrs[i, j])
+    estimates, stderrs = _lag_moments(np.asarray(values), [h])
+    p = estimates.shape[1]
+    for k in (i, j):
+        if not 0 <= k < p:
+            raise IndexError(f"component index {k} out of range for p={p}")
+    return float(estimates[0, i, j]), float(stderrs[0, i, j])
 
 
 def compare_report(
@@ -154,9 +159,10 @@ def compare_report(
 
     One cell per (lag, i, j), lags in the given order. The estimates of
     every lag come from one pass over the ensemble's time axis, in
-    chunks that each lag reads while they sit in cache. delta only
-    rescales the theoretical target; the ensemble is assumed simulated
-    at unit step.
+    chunks that each lag reads while they sit in cache; the targets of
+    every lag from one lag_block_array call. A cell whose stderr is 0
+    gets an infinite or NaN z and fails. delta only rescales the
+    theoretical target; the ensemble is assumed simulated at unit step.
     """
     values = np.asarray(values)
     if values.ndim == 3 and values.shape[2] != params.p:
@@ -164,35 +170,22 @@ def compare_report(
             f"the ensemble has {values.shape[2]} components, the parameters p = {params.p}"
         )
     lags = list(lags)
-    cells: list[CovComparison] = []
-    for h, (estimates, stderrs) in zip(lags, _lag_moments(values, lags)):
-        r_count, p = values.shape[0], values.shape[2]
-        for i in range(p):
-            for j in range(p):
-                est, se = float(estimates[i, j]), float(stderrs[i, j])
-                target = float(increment_covariance(params, i, j, float(h), delta))
-                z = (est - target) / se
-                cells.append(
-                    CovComparison(
-                        i=i,
-                        j=j,
-                        h=float(h),
-                        delta=delta,
-                        empirical=est,
-                        theoretical=target,
-                        stderr=se,
-                        z=float(z),
-                        n_replicates=r_count,
-                    )
-                )
-    if cells:
-        zs = np.array([abs(c.z) for c in cells])
-        summary = ReportSummary(
-            n_cells=len(cells),
-            max_abs_z=float(zs.max()),
-            # a NaN z fails its cell: it is not at most the threshold
-            frac_exceeding=float(np.mean(~(zs <= Z_THRESH))),
+    estimates, stderrs = _lag_moments(values, lags)
+    targets = lag_block_array(params, lags, delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (estimates - targets) / stderrs
+    cells = [
+        CovComparison(
+            i, j, float(lags[k]), delta, float(estimates[k, i, j]), float(targets[k, i, j]),
+            float(stderrs[k, i, j]), float(z[k, i, j]), values.shape[0],
         )
-    else:
-        summary = ReportSummary(n_cells=0, max_abs_z=0.0, frac_exceeding=0.0)
+        for k, i, j in np.ndindex(z.shape)
+    ]
+    abs_z = np.abs(z)
+    summary = ReportSummary(
+        n_cells=z.size,
+        max_abs_z=float(abs_z.max(initial=0.0)),
+        # a NaN z fails its cell: it is not at most the threshold
+        frac_exceeding=float(np.count_nonzero(~(abs_z <= Z_THRESH)) / max(z.size, 1)),
+    )
     return cells, summary

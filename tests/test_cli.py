@@ -787,22 +787,43 @@ def test_input_files_refuse_a_non_integer_p(tmp_path, capsys, declared):
 
 
 def test_numbers_too_big_for_a_float_exit_2(tmp_path, capsys):
-    # each ended in an OverflowError traceback with exit code 1
+    # each ended in an OverflowError traceback with exit code 1, then in
+    # "error: int too large to convert to float", which named no field
     huge = "1" * 401
     params = json.dumps(params_to_dict(make_params([0.3, 0.7], rho01=0.3)))
     kernels = json.dumps({"plus": [[{**CELL, "alpha": 1.0}]], "minus": [[None]]})
     check = ["check", "--params"]
     limits = ["limits", "--n-grid", "8", "--replicates", "2", "--kernels"]
-    for name, text, argv in [
-        ("one_tol", params.replace('"one_tol": 1e-09', f'"one_tol": {huge}'), check),
-        ("H", params.replace('"H": [0.3,', f'"H": [{huge},'), check),
-        ("alpha", kernels.replace('"alpha": 1.0', f'"alpha": {huge}'), limits),
+    for name, text, argv, message in [
+        ("one_tol", params.replace('"one_tol": 1e-09', f'"one_tol": {huge}'), check,
+         "one_tol is too large for a float"),
+        ("H", params.replace('"H": [0.3,', f'"H": [{huge},'), check,
+         "H holds a number too large for a float"),
+        ("alpha", kernels.replace('"alpha": 1.0', f'"alpha": {huge}'), limits,
+         "kernel alpha is too large for a float"),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(text)
         assert huge in text
         assert main([*argv, str(path)]) == 2, name
-        assert "too large" in capsys.readouterr().err, name
+        assert f"error: {message}" in capsys.readouterr().err, name
+
+
+def test_verify_reports_a_zero_spread_ensemble(params_file, tmp_path, capsys):
+    # 30 identical all-zero paths leave every cell with stderr 0; the z
+    # division used to end in a ZeroDivisionError traceback with exit 1
+    out_dir = tmp_path / "paths"
+    out_dir.mkdir()
+    rows = "".join(f"{t},0,0\n" for t in range(1, 11))
+    for r in range(30):
+        (out_dir / f"path_{r:05d}.csv").write_text("t,X0,X1\n" + rows)
+    report = tmp_path / "report.csv"
+    argv = ["verify", "--paths", str(out_dir), "--params", params_file, "--lags", "0:1:2"]
+    assert main([*argv, "--out", str(report)]) == 1
+    assert "8 cells, max |z| = inf, fraction beyond 4 = 1.0000" in capsys.readouterr().err
+    cells = read_csv(report)
+    assert len(cells) == 8
+    assert all(float(c["stderr"]) == 0.0 and not np.isfinite(float(c["z"])) for c in cells)
 
 
 def test_module_entry_point(params_file):

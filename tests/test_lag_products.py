@@ -1,9 +1,11 @@
 """The one-pass lag products behind compare_report and empirical_cross_cov."""
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from mfbm import compare_report, empirical_cross_cov, stats
+from mfbm import MfbmParams, compare_report, empirical_cross_cov, stats
+from mfbm.covariance import increment_covariance, lag_block_array
 from conftest import make_params
 from test_stats import direct_lag_moments, iid_ensemble
 
@@ -44,3 +46,64 @@ def test_compare_report_reads_the_ensemble_in_place():
         tracemalloc.stop()
     assert len(cells) == 8 * 25
     assert peak <= 0.05 * values.nbytes, peak / values.nbytes
+
+
+def test_compare_report_reads_every_target_from_one_lag_block_call(monkeypatch):
+    values = iid_ensemble(reps=30, n=12, p=3)
+    params = make_params([0.3, 0.7, 0.5], rho01=0.2)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lag_block_array(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("compare_report evaluated a target one cell at a time")
+
+    monkeypatch.setattr(stats, "lag_block_array", counted)
+    monkeypatch.setattr(stats, "increment_covariance", refused)
+    cells, _ = compare_report(values, params, [0, 4, -3, 4], delta=0.5)
+    assert len(calls) == 1
+    assert len(cells) == 4 * 9
+
+
+EXACT_WIDE = MfbmParams(
+    H=np.array([0.25, 0.35, 0.45, 0.55, 0.65]),
+    sigma=np.array([1.0, 0.5, 2.0, 1.0, 1.5]),
+    rho=np.full((5, 5), 0.2) + 0.8 * np.eye(5),
+    eta=0.05 * (np.triu(np.ones((5, 5)), 1) - np.tril(np.ones((5, 5)), -1)),
+)
+CLI_SHORT = MfbmParams(
+    H=np.array([0.3, 0.7]),
+    sigma=np.array([1.0, 2.0]),
+    rho=np.array([[1.0, 0.3], [0.3, 1.0]]),
+    eta=np.array([[0.0, 0.1], [-0.1, 0.0]]),
+)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.37])
+@pytest.mark.parametrize(
+    "params, lags", [(EXACT_WIDE, range(8)), (CLI_SHORT, range(50))], ids=["p5", "p2"]
+)
+def test_report_targets_equal_the_pointwise_closed_form(params, lags, delta):
+    # the benchmark parameter sets: the batched targets are the scalar
+    # ones bit for bit, the a = 1/2 pair of the p = 5 set included
+    values = iid_ensemble(reps=30, n=len(lags) + 1, p=params.p)
+    cells, _ = compare_report(values, params, lags, delta)
+    assert len(cells) == len(lags) * params.p**2
+    for c in cells:
+        assert c.theoretical == increment_covariance(params, c.i, c.j, c.h, delta)
+
+
+def test_report_targets_at_a_half_hurst_sum_agree_to_round_off():
+    # at H_i + H_j = 1/2 numpy's power loop takes sqrt or pow depending on
+    # the grid length, so the batched and scalar targets may sit an ulp of
+    # the largest target apart; the second difference magnifies that
+    # relative to the small far-lag cells
+    params = make_params([0.25, 0.5])
+    values = iid_ensemble(reps=30, n=51, p=2)
+    cells, _ = compare_report(values, params, range(50))
+    scale = max(abs(c.theoretical) for c in cells)
+    for c in cells:
+        want = increment_covariance(params, c.i, c.j, c.h)
+        assert abs(c.theoretical - want) <= 1e-14 * scale

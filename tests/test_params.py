@@ -146,6 +146,21 @@ def test_one_tol_must_be_a_finite_real_number(one_tol):
         make_params([0.4, 0.6], one_tol=one_tol)
 
 
+@pytest.mark.parametrize("field", ["H", "sigma", "rho", "eta", "one_tol"])
+def test_a_number_too_large_for_a_float_names_its_field(field):
+    # each raised a bare OverflowError: int too large to convert to float
+    fields = dataclasses.asdict(make_params([0.4, 0.6]))
+    huge = 10**400
+    if field == "one_tol":
+        fields[field], message = huge, "one_tol is too large for a float"
+    else:
+        fields[field] = np.asarray(fields[field], dtype=object)
+        fields[field].flat[-1] = huge
+        message = f"{field} holds a number too large for a float"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MfbmParams(**fields)
+
+
 def test_pair_kind_window():
     params = make_params([0.3, 0.7])
     assert params.pair_kind(0, 1) is PairKind.UNIT_SUM

@@ -226,3 +226,44 @@ def test_replicate_mean_stderr_single_replicate_has_zero_error():
     mean, stderr = replicate_mean_stderr(values)
     assert np.array_equal(mean, values[0])
     assert np.array_equal(stderr, np.zeros((3, 2)))
+
+
+def test_compare_report_fails_a_zero_spread_cell():
+    # a zero stderr used to raise ZeroDivisionError; its z is now +-inf
+    # (or NaN where the target is 0 too) and the cell fails
+    params = make_params([0.3, 0.7], rho01=0.3, eta01=0.1)
+    cells, summary = compare_report(np.zeros((30, 10, 2)), params, [0, 1])
+    assert len(cells) == summary.n_cells == 8
+    assert all(c.stderr == 0.0 and not np.isfinite(c.z) for c in cells)
+    assert summary.frac_exceeding == 1.0
+    assert not summary.ok
+
+
+@pytest.mark.parametrize("lag", [0.5, -2.5, np.nan, np.inf])
+def test_non_integer_lags_are_refused(lag):
+    # a lag of 0.5 used to be truncated to 0 for the estimate but not for
+    # the target, and reported as a failed law at z = 21.9
+    values = iid_ensemble(reps=40, n=10)
+    params = make_params([0.3, 0.7], rho01=0.3)
+    with pytest.raises(ValueError, match=f"lag {lag!r} must be an integer"):
+        compare_report(values, params, [0, lag])
+    with pytest.raises(ValueError, match=f"lag {lag!r} must be an integer"):
+        empirical_cross_cov(values, 0, 1, lag)
+
+
+def test_integral_float_lags_are_accepted():
+    values = iid_ensemble(reps=40, n=10)
+    params = make_params([0.3, 0.7], rho01=0.3)
+    as_floats, _ = compare_report(values, params, [3.0, -2.0])
+    as_ints, _ = compare_report(values, params, [3, -2])
+    assert as_floats == as_ints
+    assert empirical_cross_cov(values, 0, 1, 3.0) == empirical_cross_cov(values, 0, 1, 3)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+def test_empirical_cross_cov_refuses_an_out_of_range_component(i, j):
+    # -1 used to return the (p - 1, 0) estimate silently
+    values = iid_ensemble(reps=40, n=10)
+    bad = i if not 0 <= i < 2 else j
+    with pytest.raises(IndexError, match=rf"^component index {bad} out of range for p=2$"):
+        empirical_cross_cov(values, i, j, 0)
