@@ -102,6 +102,13 @@ def _output(path: str | None):
             yield handle
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Refuse a computed table holding a NaN or infinite value, so that no
+    command writes one and succeeds."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"the {what} is not finite at these inputs: a float over- or underflowed")
+
+
 def _write_rows(path: str | None, header: list[str], rows) -> None:
     with _output(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -112,7 +119,9 @@ def _write_rows(path: str | None, header: list[str], rows) -> None:
 def _cmd_covariance(args) -> int:
     params = load_params(args.params)
     lags = _parse_grid(args.lags)
-    blocks = lag_block_array(params, lags, args.delta)
+    with np.errstate(all="ignore"):
+        blocks = lag_block_array(params, lags, args.delta)
+    _require_finite(blocks, "covariance")
     rows = [
         [i, j, _fmt(h), _fmt(args.delta), _fmt(g)]
         for h, block in zip(lags, blocks)
@@ -127,7 +136,9 @@ def _cmd_spectrum(args) -> int:
     omegas = _omega_array(_parse_grid(args.omegas), args.delta)
     q = admissibility_matrix(params)
     i, j = np.indices((params.p, params.p))
-    dens = _density(params, q, i, j, omegas, args.delta).transpose(2, 0, 1)
+    with np.errstate(all="ignore"):
+        dens = _density(params, q, i, j, omegas, args.delta).transpose(2, 0, 1)
+    _require_finite(dens, "spectral density")
     coh = _coherence(q)
     rows = [
         [i, j, _fmt(omegas[k]), _fmt(args.delta), _fmt(s.real), _fmt(s.imag), _fmt(coh[i, j])]
@@ -144,9 +155,7 @@ def _cmd_check(args) -> int:
     if args.boundary:
         if params.p != 2:
             raise ValueError("--boundary needs a two component parameter file")
-        curve = admissible_boundary(
-            params.H[0], params.H[1], n_points=args.points, one_tol=params.one_tol
-        )
+        curve = admissible_boundary(params.H[0], params.H[1], n_points=args.points)
         _write_rows(
             args.out, ["rho", "eta_prime"], [[_fmt(a), _fmt(b)] for a, b in curve]
         )
@@ -244,10 +253,12 @@ def _read_increments(paths: str) -> np.ndarray:
     comes from manifest.json when it is present; without one, a t column
     starting at 0 means integrated. A CSV without the path header, e.g. a
     previously written report, is skipped and listed on stderr; a path
-    file holding a NaN or infinite value is refused.
+    file holding a NaN or infinite value is refused, and so is a count of
+    path files other than the replicates manifest.json records, as when
+    files of an earlier, larger run are left in the directory.
     """
     root = Path(paths)
-    manifest_integrate = None
+    manifest = {}
     manifest_path = root / "manifest.json"
     if manifest_path.is_file():
         with open(manifest_path) as handle:
@@ -259,7 +270,7 @@ def _read_increments(paths: str) -> np.ndarray:
             raise ValueError(
                 f"{manifest_path} must hold a JSON object with \"integrate\" true or false"
             )
-        manifest_integrate = manifest["integrate"]
+    manifest_integrate = manifest.get("integrate")
     files = sorted(root.glob("*.csv"))
     buffer = None
     count = 0
@@ -302,6 +313,11 @@ def _read_increments(paths: str) -> np.ndarray:
         print(f"skipped {len(skipped)} {noun}: {', '.join(skipped)}", file=sys.stderr)
     if buffer is None:
         raise ValueError(f"no path files found under {paths}")
+    if "replicates" in manifest and count != manifest["replicates"]:
+        raise ValueError(
+            f"{paths} holds {count} path files, but manifest.json records "
+            f"{manifest['replicates']!r} replicates: files of an earlier run?"
+        )
     if len(integrated_flags) != 1:
         raise ValueError("mixed integrated and increment path files")
     return buffer[:count]
@@ -381,13 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="admissibility test and admissible-set data")
     chk.add_argument("--params", required=True)
-    chk.add_argument(
+    mode = chk.add_mutually_exclusive_group()
+    mode.add_argument(
         "--boundary",
         action="store_true",
         help="emit the admissible boundary curve for the file's two H values",
     )
     chk.add_argument("--points", type=int, default=361, help="boundary resolution")
-    chk.add_argument(
+    mode.add_argument(
         "--max-corr-grid",
         default=None,
         help="emit max admissible correlation over this H grid",

@@ -28,7 +28,7 @@ _CHUNK = 8192
 def _pairs(params: MfbmParams, i, j):
     """a = H_i + H_j, rho, eta and the unit-sum flags at the pairs (i, j)."""
     a = params.H[i] + params.H[j]
-    return a, params.rho[i, j], params.eta[i, j], _unit_sum(a, params.one_tol)
+    return a, params.rho[i, j], params.eta[i, j], _unit_sum(a)
 
 
 def _structure(params: MfbmParams, i, j, h: np.ndarray) -> np.ndarray:

@@ -10,12 +10,12 @@ components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .params import MfbmParams, PairKind, eta_from_prime
+from .params import MfbmParams, _unit_sum
 from .spectral import _coherence, admissibility_matrix, coherence
 
 __all__ = [
@@ -121,13 +121,7 @@ def max_correlation(h1: float, h2: float, case: SpecialCase) -> float:
     return float(rho)
 
 
-def pair_coherence_at(
-    h1: float,
-    h2: float,
-    rho: float,
-    eta_prime: float,
-    one_tol: float = 1e-9,
-) -> float:
+def pair_coherence_at(h1: float, h2: float, rho: float, eta_prime: float) -> float:
     """Coherence of a bivariate set at a point of the (rho, eta') plane.
 
     eta' is the branch-continuous antisymmetric coordinate: for generic
@@ -135,25 +129,15 @@ def pair_coherence_at(
     coefficient itself. The bivariate set is built, and so validated, like
     any other: exponents outside (0, 1) or |rho| > 1 raise ValueError.
     """
+    a = float(h1) + float(h2)
+    eta = eta_prime if _unit_sum(a) else eta_prime / (1.0 - a)
     params = MfbmParams(
-        H=[h1, h2],
-        sigma=[1.0, 1.0],
-        rho=[[1.0, rho], [rho, 1.0]],
-        eta=np.zeros((2, 2)),
-        one_tol=one_tol,
+        H=[h1, h2], sigma=[1.0, 1.0], rho=[[1.0, rho], [rho, 1.0]], eta=[[0.0, eta], [-eta, 0.0]]
     )
-    eta = eta_prime
-    if params.pair_kind(0, 1) is PairKind.GENERIC_SUM:
-        eta = eta_from_prime(params, 0, 1, eta_prime)
-    return coherence(replace(params, eta=[[0.0, eta], [-eta, 0.0]]), 0, 1)
+    return coherence(params, 0, 1)
 
 
-def admissible_boundary(
-    h1: float,
-    h2: float,
-    n_points: int = 361,
-    one_tol: float = 1e-9,
-) -> np.ndarray:
+def admissible_boundary(h1: float, h2: float, n_points: int = 361) -> np.ndarray:
     """Points of the unit-coherence curve in the (rho, eta') plane.
 
     Returns an (n_points, 2) array tracing the closed boundary of the
@@ -165,8 +149,8 @@ def admissible_boundary(
     """
     if n_points < 2:
         raise ValueError("need at least 2 points to trace a closed curve")
-    c_rho = pair_coherence_at(h1, h2, 1.0, 0.0, one_tol)
-    c_eta = pair_coherence_at(h1, h2, 0.0, 1.0, one_tol)
+    c_rho = pair_coherence_at(h1, h2, 1.0, 0.0)
+    c_eta = pair_coherence_at(h1, h2, 0.0, 1.0)
     thetas = 2.0 * np.pi * np.arange(n_points) / (n_points - 1)
     u, v = np.cos(thetas), np.sin(thetas)
     r = 1.0 / np.sqrt(c_rho * u**2 + c_eta * v**2)

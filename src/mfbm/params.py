@@ -37,9 +37,14 @@ class PairKind(Enum):
     UNIT_SUM = "unit_sum"
 
 
-def _unit_sum(a, one_tol: float):
+# Half-width of the band around H_i + H_j = 1 whose pairs take the unit-sum
+# (logarithmic) branch; it only absorbs float round-off in the sum.
+UNIT_SUM_TOL = 1e-9
+
+
+def _unit_sum(a):
     """Whether Hurst sums a (a float or an array) take the unit-sum branch."""
-    return abs(a - 1.0) <= one_tol
+    return abs(a - 1.0) <= UNIT_SUM_TOL
 
 
 def _check_int(name: str, value, low: int = 1) -> None:
@@ -109,21 +114,16 @@ class MfbmParams:
         the rho~ coefficient.
     eta : (p, p) antisymmetric array. Entry (i, j) is the antisymmetric
         cross coefficient; for unit-sum pairs it is eta~.
-    one_tol : width of the band around H_i + H_j = 1 classified as a
-        unit-sum pair; a finite real number (a bool is refused).
     """
 
     H: np.ndarray
     sigma: np.ndarray
     rho: np.ndarray
     eta: np.ndarray
-    one_tol: float = 1e-9
 
     def __post_init__(self):
         for name, ndim in (("H", 1), ("sigma", 1), ("rho", 2), ("eta", 2)):
             object.__setattr__(self, name, _frozen_array(name, getattr(self, name), ndim))
-        _check_real("one_tol", self.one_tol)
-        object.__setattr__(self, "one_tol", float(self.one_tol))
         validate(self)
 
     @property
@@ -140,8 +140,8 @@ class MfbmParams:
         return float(self.H[i] + self.H[j])
 
     def pair_kind(self, i: int, j: int) -> PairKind:
-        """Classify pair (i, j); unit-sum within one_tol of H_i + H_j = 1."""
-        if _unit_sum(self.hurst_sum(i, j), self.one_tol):
+        """Classify pair (i, j); unit-sum within UNIT_SUM_TOL of H_i + H_j = 1."""
+        if _unit_sum(self.hurst_sum(i, j)):
             return PairKind.UNIT_SUM
         return PairKind.GENERIC_SUM
 
@@ -185,8 +185,6 @@ def validate(params: MfbmParams) -> None:
             v.append("eta must be antisymmetric")
         if not (eta.diagonal() == 0.0).all():
             v.append("eta must have zero diagonal")
-    if not params.one_tol >= 0.0:
-        v.append("one_tol must be nonnegative")
     if v:
         raise ValueError("invalid parameters: " + "; ".join(v))
 
@@ -220,7 +218,6 @@ def params_to_dict(params: MfbmParams) -> dict:
         "sigma": params.sigma.tolist(),
         "rho": params.rho.tolist(),
         "eta": params.eta.tolist(),
-        "one_tol": params.one_tol,
     }
 
 
@@ -237,13 +234,13 @@ def params_from_dict(payload: dict) -> MfbmParams:
         eta = payload["eta"]
     except KeyError as missing:
         raise ValueError(f"parameter file is missing key {missing}") from None
-    params = MfbmParams(
-        H=H,
-        sigma=sigma,
-        rho=rho,
-        eta=eta,
-        one_tol=payload.get("one_tol", 1e-9),
-    )
+    # files written while the band was a setting carry it; another value
+    # would move a pair to the other branch without a word
+    if "one_tol" in payload:
+        _check_real("one_tol", payload["one_tol"])
+        if payload["one_tol"] != UNIT_SUM_TOL:
+            raise ValueError(f"one_tol must be {UNIT_SUM_TOL!r}, got {payload['one_tol']!r}")
+    params = MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta)
     _check_declared_p(payload, params.p, "len(H)")
     return params
 

@@ -23,7 +23,7 @@ import numpy as np
 from .existence import (
     PSD_TOL, CovarianceExistenceError, SpecialCase, _ridged_cholesky, check_admissibility,
 )
-from .params import MfbmParams, _unit_sum
+from .params import UNIT_SUM_TOL, MfbmParams, _unit_sum
 from .spectral import _gamma, _pair_weights, admissibility_matrix
 
 __all__ = [
@@ -177,7 +177,7 @@ def spectral_from_ma(ma: MovingAveragePair, H) -> SpectralFactor:
     return SpectralFactor(matrix=_factor_from_ma(ma, H))
 
 
-def params_from_ma(ma: MovingAveragePair, H, one_tol: float = 1e-9) -> MfbmParams:
+def params_from_ma(ma: MovingAveragePair, H) -> MfbmParams:
     """Covariance coefficients of the process driven by (M+, M-).
 
     Inverts the Gram target A A* of the factor A the weights map to:
@@ -196,7 +196,7 @@ def params_from_ma(ma: MovingAveragePair, H, one_tol: float = 1e-9) -> MfbmParam
             f"weights; got H = {H.tolist()}"
         )
     a_mat = _factor_from_ma(ma, H)
-    a, s, t = _pair_weights(H, one_tol)
+    a, s, t = _pair_weights(H)
     q = 2.0 * np.pi * (a_mat @ a_mat.conj().T) / _gamma(a + 1.0)
     var = q.real.diagonal() / np.sin(np.pi * H)
     bad = np.flatnonzero(~(var > 0.0))
@@ -212,7 +212,7 @@ def params_from_ma(ma: MovingAveragePair, H, one_tol: float = 1e-9) -> MfbmParam
     lower = np.tri(H.shape[0], k=-1, dtype=bool)
     rho[lower], eta[lower] = rho.T[lower], -eta.T[lower]
     rho.flat[:: H.shape[0] + 1], eta.flat[:: H.shape[0] + 1] = 1.0, 0.0
-    return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta + 0.0, one_tol=one_tol)
+    return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta + 0.0)
 
 
 def special_case_eta(params: MfbmParams, case: SpecialCase) -> MfbmParams:
@@ -228,9 +228,9 @@ def special_case_eta(params: MfbmParams, case: SpecialCase) -> MfbmParams:
     eta = np.zeros_like(params.rho)
     if case is SpecialCase.CAUSAL:
         H = params.H
-        a, s, t = _pair_weights(H, params.one_tol)
-        unit = _unit_sum(a, params.one_tol)
-        if np.any(np.triu(unit, 1) & (np.abs(H - 0.5) < 1e-9)[:, None]):
+        a, s, t = _pair_weights(H)
+        unit = _unit_sum(a)
+        if np.any(np.triu(unit, 1) & (np.abs(H - 0.5) < UNIT_SUM_TOL)[:, None]):
             raise ValueError(
                 "causal tie is undefined for a unit-sum pair with H = 1/2"
             )

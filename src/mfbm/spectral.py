@@ -42,14 +42,14 @@ def _gamma(x):
     return np.fromiter(map(math.gamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _pair_weights(H, one_tol: float):
+def _pair_weights(H):
     """p x p arrays (a, s, t): a = H_i + H_j, and the pair's positive-frequency
     coefficient is rho s - i eta t with (s, t) = (sin(pi a/2), cos(pi a/2))
-    for a generic pair, (1, pi/2) for a unit-sum pair, |a - 1| <= one_tol.
+    for a generic pair, (1, pi/2) for a unit-sum pair, |a - 1| <= UNIT_SUM_TOL.
     """
     a = H[:, None] + H
     half_alpha = 0.5 * np.pi * a
-    unit = _unit_sum(a, one_tol)
+    unit = _unit_sum(a)
     s, t = np.sin(half_alpha), np.cos(half_alpha)
     np.copyto(s, 1.0, where=unit)
     np.copyto(t, 0.5 * np.pi, where=unit)
@@ -66,7 +66,7 @@ def spectral_coeff(params: MfbmParams, i: int, j: int, sign_omega: int) -> compl
     if sign_omega not in (-1, 1):
         raise ValueError(f"sign_omega must be -1 or +1, got {sign_omega}")
     params.hurst_sum(i, j)  # IndexError on an out-of-range component
-    _, s, t = _pair_weights(params.H, params.one_tol)
+    _, s, t = _pair_weights(params.H)
     return complex(params.rho[i, j] * s[i, j], -params.eta[i, j] * sign_omega * t[i, j])
 
 
@@ -77,7 +77,7 @@ def admissibility_matrix(params: MfbmParams) -> np.ndarray:
     coefficient of the pair. Scales sigma do not enter. Hermitian holds
     exactly: every factor is symmetric and eta antisymmetric.
     """
-    a, s, t = _pair_weights(params.H, params.one_tol)
+    a, s, t = _pair_weights(params.H)
     coeff = (params.rho * s).astype(complex)
     coeff.imag = -params.eta * t
     return _gamma(a + 1.0) * coeff

@@ -7,7 +7,7 @@ import pytest
 from mfbm import MfbmParams, check_admissibility
 
 
-def make_params(H, sigma=None, rho01=0.0, eta01=0.0, one_tol=1e-9) -> MfbmParams:
+def make_params(H, sigma=None, rho01=0.0, eta01=0.0) -> MfbmParams:
     """Bivariate-or-univariate shorthand used all over the tests."""
     H = np.atleast_1d(np.asarray(H, dtype=float))
     p = H.shape[0]
@@ -17,7 +17,7 @@ def make_params(H, sigma=None, rho01=0.0, eta01=0.0, one_tol=1e-9) -> MfbmParams
     if p >= 2:
         rho[0, 1] = rho[1, 0] = rho01
         eta[0, 1], eta[1, 0] = eta01, -eta01
-    return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta, one_tol=one_tol)
+    return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta)
 
 
 def random_admissible(

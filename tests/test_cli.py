@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mfbm import (
+    MfbmParams,
     SimulationConfig,
     SpecialCase,
     build_plan,
@@ -77,6 +78,21 @@ def test_covariance_rejects_invalid_params(tmp_path):
     assert main(["covariance", "--params", str(bad), "--lags", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, grid, delta",
+    [("covariance", "--lags=0:2:3", "1e308"), ("spectrum", "--omegas=1e-300", "1")],
+    ids=["covariance-overflow", "spectrum-underflow"],
+)
+def test_non_finite_results_exit_2(params_file, tmp_path, capsys, command, grid, delta):
+    # covariance wrote nan cross pairs and an inf (1, 1) entry, spectrum a
+    # 0/0 nan after underflow, both with numpy warnings and exit code 0
+    out = tmp_path / "out.csv"
+    argv = [command, "--params", params_file, grid, "--delta", delta, "--out", str(out)]
+    assert main(argv) == 2
+    assert "is not finite at these inputs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_subcommand(tmp_path):
     single = tmp_path / "p1.json"
     dump_params(make_params([0.5]), single)
@@ -141,6 +157,14 @@ def test_check_boundary_curve(params_file, tmp_path):
     want = max_correlation(0.3, 0.7, SpecialCase.WELL_BALANCED)
     assert float(rows[0]["rho"]) == pytest.approx(want, rel=1e-9)
     assert float(rows[0]["eta_prime"]) == 0.0
+
+
+def test_check_modes_exclude_each_other(params_file, capsys):
+    # the boundary was written and the grid ignored without a word
+    with pytest.raises(SystemExit) as caught:
+        main(["check", "--params", params_file, "--boundary", "--max-corr-grid", "0.1,0.8"])
+    assert caught.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_check_max_corr_grid(params_file, tmp_path):
@@ -449,6 +473,24 @@ def test_verify_working_memory(params_file, tmp_path, integrate):
     assert peak <= 1.5 * reps * n * p * 8
 
 
+def test_verify_refuses_path_files_left_by_an_earlier_run(params_file, tmp_path, capsys):
+    # verify pooled all 40 files, 9 of them from seed 1, reported
+    # n_replicates 40 against the manifest's 31 and exited 0
+    out_dir = tmp_path / "paths"
+    for replicates, seed in (("40", "1"), ("31", "2")):
+        argv = ["simulate", "--params", params_file, "--n", "64", "--replicates", replicates]
+        assert main([*argv, "--seed", seed, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--paths", str(out_dir), "--params", params_file, "--lags", "0:3:4"]
+    assert main(argv) == 2
+    assert "holds 40 path files, but manifest.json records 31 replicates" in (
+        capsys.readouterr().err
+    )
+    for stale in range(31, 40):
+        (out_dir / f"path_{stale:05d}.csv").unlink()
+    assert main(argv) == 0
+
+
 def test_verify_rejects_empty_directory(params_file, tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -498,20 +540,39 @@ def test_commands_agree_on_the_edge_of_admissibility(tmp_path):
     assert _existence_exit_codes(EDGE, tmp_path) == [0, 0, 0]
 
 
+def _with_one_tol(params: MfbmParams, text: str) -> str:
+    """The JSON of params with a "one_tol" key holding the JSON text."""
+    return json.dumps(params_to_dict(params))[:-1] + f', "one_tol": {text}}}'
+
+
 @pytest.mark.parametrize(
-    "text", ["true", "[1]", '"1e-9"', "Infinity"], ids=["bool", "list", "string", "inf"]
+    "text",
+    ["true", "[1]", '"1e-9"', "Infinity", "1e-5"],
+    ids=["bool", "list", "string", "inf", "wider"],
 )
 def test_one_tol_must_be_a_finite_real_number(tmp_path, capsys, text):
     # true ran as one_tol = 1, [1] ended in a TypeError traceback, a
-    # string was cast, and an infinite band made every pair unit-sum
-    payload = json.dumps(params_to_dict(make_params([0.3, 0.7], rho01=0.3)))
+    # string was cast, and an infinite band made every pair unit-sum; the
+    # band is now fixed, so any value but 1e-09 would change a pair's branch
     path = tmp_path / "params.json"
-    path.write_text(payload.replace('"one_tol": 1e-09', f'"one_tol": {text}'))
+    path.write_text(_with_one_tol(make_params([0.3, 0.7], rho01=0.3), text))
     assert main(["check", "--params", str(path)]) == 2
     assert "one_tol must be" in capsys.readouterr().err
-    payload = {k: v for k, v in json.loads(payload).items() if k != "one_tol"}
-    path.write_text(json.dumps(payload))
-    assert load_params(path).one_tol == 1e-9
+
+
+def test_a_file_written_with_one_tol_still_loads(tmp_path, capsys):
+    # every file dump_params and simulate's manifest.json wrote while the
+    # band was a setting carries "one_tol": 1e-09
+    params = make_params([0.3, 0.7], rho01=0.3, eta01=0.1)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(_with_one_tol(params, "1e-09"))
+    dump_params(params, new)
+    assert "one_tol" not in json.loads(new.read_text())
+    outputs = []
+    for path in (old, new):
+        assert main(["covariance", "--params", str(path), "--lags", "-2:2:5"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_limits_subcommand(kernels_file, tmp_path):
@@ -795,7 +856,7 @@ def test_numbers_too_big_for_a_float_exit_2(tmp_path, capsys):
     check = ["check", "--params"]
     limits = ["limits", "--n-grid", "8", "--replicates", "2", "--kernels"]
     for name, text, argv, message in [
-        ("one_tol", params.replace('"one_tol": 1e-09', f'"one_tol": {huge}'), check,
+        ("one_tol", params[:-1] + f', "one_tol": {huge}}}', check,
          "one_tol is too large for a float"),
         ("H", params.replace('"H": [0.3,', f'"H": [{huge},'), check,
          "H holds a number too large for a float"),

@@ -14,6 +14,7 @@ from mfbm import (
     mfbm_covariance,
     structure_function,
 )
+from mfbm.params import UNIT_SUM_TOL
 from conftest import make_params, random_admissible
 
 GENERIC = make_params([0.3, 0.6], rho01=0.4, eta01=0.1)
@@ -148,7 +149,7 @@ def _math_structure(params, i, j, h):
     h = float(h)
     a = float(params.H[i]) + float(params.H[j])
     rho, eta = float(params.rho[i, j]), float(params.eta[i, j])
-    if abs(a - 1.0) <= params.one_tol:
+    if abs(a - 1.0) <= UNIT_SUM_TOL:
         return rho * abs(h) + (eta * h * math.log(abs(h)) if h != 0.0 else 0.0)
     sign = (h > 0.0) - (h < 0.0)
     return (rho - eta * sign) * math.pow(abs(h), a)
@@ -162,10 +163,10 @@ def test_lag_block_matches_pointwise():
             want = increment_covariance(GENERIC, i, j, np.array([2.5]), 0.5)[0]
             assert block[i, j] == want
     # every branch against a reference written with the math module: a
-    # generic pair (0, 1), a unit-sum pair (0, 4) inside one_tol whose sum
+    # generic pair (0, 1), a unit-sum pair (0, 4) inside UNIT_SUM_TOL whose sum
     # is not exactly 1, and diagonals with a = 1 (H = 1/2) and a = 1/2
     H = [0.3, 0.6, 0.25, 0.5, 0.7 + 3e-10]
-    assert 0.0 < abs(H[0] + H[4] - 1.0) <= 1e-9
+    assert 0.0 < abs(H[0] + H[4] - 1.0) <= UNIT_SUM_TOL
     rng = np.random.default_rng(17)
     rho, eta = np.eye(5), np.zeros((5, 5))
     upper = np.triu_indices(5, 1)

@@ -129,7 +129,7 @@ def test_psd_and_pair_coherence_agree(rng):
 
 def test_pair_coherence_at_unit_sum_branch():
     # on the unit-sum line the second coordinate acts directly
-    c = pair_coherence_at(0.3, 0.7, 0.0, 0.542599238, one_tol=1e-9)
+    c = pair_coherence_at(0.3, 0.7, 0.0, 0.542599238)
     assert c == pytest.approx(1.0, abs=1e-6)
 
 

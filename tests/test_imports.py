@@ -8,8 +8,13 @@ in a module: the tracer replaces them by name, so they stay bound there
 even when the module itself no longer calls them.
 """
 import ast
+import dataclasses
 import importlib.util
+import inspect
+import types
 from pathlib import Path
+
+import mfbm
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mfbm"
@@ -250,3 +255,38 @@ def test_structural_rule_runs_at_construction_only():
         for scope in validate_callers(path.read_text())
     ]
     assert calls == ["params.MfbmParams.__post_init__"]
+
+
+# Tolerances that only absorb round-off (UNIT_SUM_TOL, PSD_TOL) are module
+# constants: no public callable takes one and no parameter set carries one.
+
+
+def tolerance_parameters(namespace) -> list[str]:
+    """'name(parameter)' for every parameter ending in _tol of a callable
+    that namespace lists in its __all__."""
+    found = []
+    for name in namespace.__all__:
+        try:
+            parameters = inspect.signature(getattr(namespace, name)).parameters
+        except (TypeError, ValueError):  # not callable, or no signature
+            continue
+        found += [f"{name}({p})" for p in parameters if p.endswith("_tol")]
+    return found
+
+
+def test_tolerance_parameters_finds_every_one():
+    def f(x, psd_tol=0.0):
+        pass
+
+    @dataclasses.dataclass
+    class C:
+        one_tol: float
+        total: int
+
+    namespace = types.SimpleNamespace(__all__=["f", "C", "K", "E"], f=f, C=C, K=1e-9, E=KeyError)
+    assert tolerance_parameters(namespace) == ["f(psd_tol)", "C(one_tol)"]
+
+
+def test_no_tolerance_is_a_setting():
+    assert not tolerance_parameters(mfbm)
+    assert [f.name for f in dataclasses.fields(mfbm.MfbmParams)] == ["H", "sigma", "rho", "eta"]

@@ -22,6 +22,7 @@ from mfbm import (
     toeplitz_covariance,
     validate,
 )
+from mfbm.params import UNIT_SUM_TOL
 from mfbm.spectral import _pair_weights
 from conftest import make_params
 
@@ -87,12 +88,6 @@ def test_validation_rejects_non_finite_entries(field, value):
     assert f"every {field} entry must be finite" in violations(excinfo)
 
 
-def test_validation_rejects_negative_one_tol():
-    with pytest.raises(ValueError) as excinfo:
-        make_params([0.4, 0.6], one_tol=-1.0)
-    assert violations(excinfo) == ["one_tol must be nonnegative"]
-
-
 BUILDS = {
     "direct": lambda rho01: make_params([0.4, 0.6], rho01=rho01),
     "replace": lambda rho01: dataclasses.replace(
@@ -137,26 +132,25 @@ def test_closed_forms_never_see_a_malformed_set(form, fields):
         form(make_params(**fields))
 
 
-@pytest.mark.parametrize("one_tol", [True, np.inf, np.nan, "1e-9"])
+@pytest.mark.parametrize("one_tol", [True, np.inf, np.nan, "1e-9", 1e-5])
 def test_one_tol_must_be_a_finite_real_number(one_tol):
-    # True ran as 1.0 and a string was cast; an infinite band passed
-    # validate, and every pair, diagonal ones included, took the unit-sum
-    # branch
+    # the band is the constant UNIT_SUM_TOL; a parameter dict may still
+    # carry it, as files written while it was a setting do, and nothing
+    # else: True ran as 1.0, a string was cast, an infinite band made every
+    # pair unit-sum, and a wider one would move a pair to the other branch
+    payload = params_to_dict(make_params([0.4, 0.6]))
     with pytest.raises(ValueError, match="^one_tol must be"):
-        make_params([0.4, 0.6], one_tol=one_tol)
+        params_from_dict({**payload, "one_tol": one_tol})
+    assert params_from_dict({**payload, "one_tol": 1e-09}).pair_kind(0, 1) is PairKind.UNIT_SUM
 
 
-@pytest.mark.parametrize("field", ["H", "sigma", "rho", "eta", "one_tol"])
+@pytest.mark.parametrize("field", ["H", "sigma", "rho", "eta"])
 def test_a_number_too_large_for_a_float_names_its_field(field):
     # each raised a bare OverflowError: int too large to convert to float
     fields = dataclasses.asdict(make_params([0.4, 0.6]))
-    huge = 10**400
-    if field == "one_tol":
-        fields[field], message = huge, "one_tol is too large for a float"
-    else:
-        fields[field] = np.asarray(fields[field], dtype=object)
-        fields[field].flat[-1] = huge
-        message = f"{field} holds a number too large for a float"
+    fields[field] = np.asarray(fields[field], dtype=object)
+    fields[field].flat[-1] = 10**400
+    message = f"{field} holds a number too large for a float"
     with pytest.raises(ValueError, match=f"^{message}$"):
         MfbmParams(**fields)
 
@@ -167,21 +161,19 @@ def test_pair_kind_window():
     assert params.pair_kind(0, 0) is PairKind.GENERIC_SUM
     generic = make_params([0.3, 0.6])
     assert generic.pair_kind(0, 1) is PairKind.GENERIC_SUM
-    # the tolerance window is configurable
-    wide = make_params([0.3, 0.7 + 1e-6], one_tol=1e-5)
-    assert wide.pair_kind(0, 1) is PairKind.UNIT_SUM
 
 
-@pytest.mark.parametrize("one_tol", [1e-9, 1e-5])
+@pytest.mark.parametrize("step", [UNIT_SUM_TOL, 1e-5])
 @pytest.mark.parametrize("excess", [0.0, 0.5, 2.0, 1e3])
-def test_unit_sum_band_is_one_rule(one_tol, excess):
-    # pair_kind, the spectral pair weights and the causal tie draw one band
-    params = make_params([0.3, 0.7 + excess * one_tol], rho01=0.2, one_tol=one_tol)
+def test_unit_sum_band_is_one_rule(step, excess):
+    # pair_kind, the spectral pair weights and the causal tie draw one band,
+    # UNIT_SUM_TOL, at offsets on its own scale and on a coarser one
+    params = make_params([0.3, 0.7 + excess * step], rho01=0.2)
     unit = params.pair_kind(0, 1) is PairKind.UNIT_SUM
-    assert unit == (excess <= 1.0)
-    _, s, t = _pair_weights(params.H, one_tol)
+    assert unit == (excess * step <= UNIT_SUM_TOL)
+    _, s, t = _pair_weights(params.H)
     assert (s[0, 1] == 1.0 and t[0, 1] == 0.5 * np.pi) == unit
-    half = make_params([0.5, 0.5 + excess * one_tol], rho01=0.2, one_tol=one_tol)
+    half = make_params([0.5, 0.5 + excess * step], rho01=0.2)
     if half.pair_kind(0, 1) is PairKind.UNIT_SUM:
         with pytest.raises(ValueError, match="unit-sum"):
             special_case_eta(half, SpecialCase.CAUSAL)
@@ -245,7 +237,7 @@ def test_dict_refuses_a_non_integer_p(declared):
 
 
 def test_dict_rejects_unknown_keys():
-    # a misspelt one_tol would otherwise fall back to the default silently
+    # a misspelt key would otherwise be ignored silently
     payload = {**params_to_dict(make_params([0.3, 0.7])), "one_tl": 0.1, "Eta": 0}
     with pytest.raises(ValueError, match=r"\['Eta', 'one_tl'\]"):
         params_from_dict(payload)

@@ -21,6 +21,7 @@ from mfbm import (
     spectral_from_ma,
 )
 from mfbm.existence import PSD_TOL
+from mfbm.params import UNIT_SUM_TOL
 from conftest import make_params, random_admissible
 
 # Quadrature oracle, frozen: E X_i(t) X_j(s) computed by numerically
@@ -145,7 +146,7 @@ def test_full_round_trip_recovers_params(rng, p, explicit):
         params = random_admissible(rng, p, h_margin=0.05)
         a = spectral_factor_p2(params) if explicit else spectral_factor(params)
         ma = ma_from_spectral(a, params.H)
-        back = params_from_ma(ma, params.H, one_tol=params.one_tol)
+        back = params_from_ma(ma, params.H)
         assert np.allclose(back.sigma, params.sigma, rtol=1e-10)
         assert np.allclose(back.rho, params.rho, rtol=0, atol=1e-10)
         assert np.allclose(back.eta, params.eta, rtol=0, atol=1e-10)
@@ -155,7 +156,7 @@ def test_full_round_trip_unit_sum(rng):
     for _ in range(8):
         params = random_admissible(rng, 2, unit_sum=True, h_margin=0.05)
         ma = ma_from_spectral(spectral_factor_p2(params), params.H)
-        back = params_from_ma(ma, params.H, one_tol=params.one_tol)
+        back = params_from_ma(ma, params.H)
         assert np.allclose(back.sigma, params.sigma, rtol=1e-10)
         assert np.allclose(back.rho, params.rho, rtol=0, atol=1e-10)
         assert np.allclose(back.eta, params.eta, rtol=0, atol=1e-10)
@@ -171,7 +172,7 @@ def test_full_round_trip_p3_with_unit_sum_pair():
     )
     assert check_admissibility(params).admissible
     ma = ma_from_spectral(spectral_factor(params), params.H)
-    back = params_from_ma(ma, params.H, one_tol=params.one_tol)
+    back = params_from_ma(ma, params.H)
     assert np.allclose(back.sigma, params.sigma, rtol=1e-9)
     assert np.allclose(back.rho, params.rho, rtol=0, atol=1e-9)
     assert np.allclose(back.eta, params.eta, rtol=0, atol=1e-9)
@@ -255,7 +256,7 @@ def test_causal_params_admit_causal_factorization(rng):
         assert np.abs(r.imag).max() <= 1e-12 * np.abs(r).max()
         m_plus = cholesky(r.real, lower=True)
         ma = MovingAveragePair(m_plus=m_plus, m_minus=np.zeros((2, 2)))
-        back = params_from_ma(ma, causal.H, one_tol=causal.one_tol)
+        back = params_from_ma(ma, causal.H)
         assert np.allclose(back.sigma, causal.sigma, rtol=1e-9)
         assert np.allclose(back.rho, causal.rho, rtol=0, atol=1e-9)
         assert np.allclose(back.eta, causal.eta, rtol=0, atol=1e-9)
@@ -290,7 +291,7 @@ def test_causal_eta_phase_tie_p3_with_unit_sum_pair():
     assert np.array_equal(eta, -eta.T)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         a = H[i] + H[j]
-        if abs(a - 1.0) <= params.one_tol:
+        if abs(a - 1.0) <= UNIT_SUM_TOL:
             coeff = complex(rho[i, j], -0.5 * np.pi * eta[i, j])
             want = 2.0 * rho[i, j] / (np.pi * np.tan(np.pi * H[i]))
         else:

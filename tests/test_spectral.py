@@ -17,6 +17,7 @@ from mfbm import (
     spectral_coeff,
     structure_function,
 )
+from mfbm.params import UNIT_SUM_TOL
 from mfbm.spectral import _gamma
 from conftest import make_params, random_admissible
 
@@ -239,7 +240,7 @@ def test_admissibility_matrix_matches_pair_formulas():
                 if i == j:
                     continue
                 a = H[i] + H[j]
-                if abs(a - 1.0) <= params.one_tol:
+                if abs(a - 1.0) <= UNIT_SUM_TOL:
                     coeff = complex(rho[i, j], -0.5 * math.pi * eta[i, j])
                 else:
                     coeff = complex(
@@ -253,13 +254,18 @@ def test_admissibility_matrix_matches_pair_formulas():
     assert unit_draws >= 100
 
 
-def test_unit_sum_branch_follows_pair_kind_at_band_edge():
-    # |H_i + H_j - 1| = one_tol exactly is still unit-sum, as in pair_kind
-    cases = (([0.25, 0.75], 0.0), ([0.5, 0.625], 0.125), ([0.5, 0.6875], 0.125))
-    for H, one_tol in cases:
-        params = make_params(H, rho01=0.4, eta01=0.3, one_tol=one_tol)
+def test_unit_sum_branch_follows_pair_kind_at_band_edge(monkeypatch):
+    # |H_i + H_j - 1| = UNIT_SUM_TOL exactly is still unit-sum, as in
+    # pair_kind; no float sum lies exactly 1e-9 from 1, so the edge is hit
+    # under dyadic bands
+    cases = (([0.25, 0.75], 0.0, True), ([0.5, 0.625], 0.125, True),
+             ([0.5, 0.6875], 0.125, False))
+    for H, band, unit in cases:
+        monkeypatch.setattr("mfbm.params.UNIT_SUM_TOL", band)
+        params = make_params(H, rho01=0.4, eta01=0.3)
         a = params.hurst_sum(0, 1)
-        if params.pair_kind(0, 1) is PairKind.UNIT_SUM:
+        assert (params.pair_kind(0, 1) is PairKind.UNIT_SUM) == unit
+        if unit:
             coeff = complex(0.4, -0.5 * math.pi * 0.3)
         else:
             half_alpha = 0.5 * math.pi * a
