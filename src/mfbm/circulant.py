@@ -312,17 +312,18 @@ def _replicate_rng(seed: int, replicate: int, stream: int = 0) -> Generator:
     return Generator(Philox(SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def simulate(plan: CirculantPlan, config: SimulationConfig) -> Ensemble:
-    """Draw config.replicates increment paths from the factored embedding.
+def _sampler(plan: CirculantPlan, config: SimulationConfig):
+    """The one sampling routine: draw(r, out) writes replicate r of the run,
+    drawn from the substream of (config.seed, r), into out, an (n, p)
+    array, and returns out.
 
-    Returns one Ensemble: read-only increments of shape (R, n, p) and one
-    meta dict recording the run. Only the frequencies 0..m/2 are colored;
-    hfft of that Hermitian half equals the real part of the full complex
-    FFT, so the paths are real by construction. Each replicate's draws
-    are copied once, component-major, into z; then each output component
-    a is colored as one row, sum_v roots[a, v] * z[v], and run through one
-    inverse FFT, so the working memory beyond the output is the draw
-    buffer, z and one row.
+    Only the frequencies 0..m/2 are colored; hfft of that Hermitian half
+    equals the real part of the full complex FFT, so the paths are real by
+    construction. Each replicate's draws are copied once, component-major,
+    into z; then each output component a is colored as one row,
+    sum_v roots[a, v] * z[v], and run through one inverse FFT. The draw
+    buffer, z and that row are allocated here, once, and shared by every
+    call.
     """
     m, p, n = plan.m, plan.params.p, config.n
     if n > plan.n:
@@ -335,25 +336,48 @@ def simulate(plan: CirculantPlan, config: SimulationConfig) -> Ensemble:
     v = buf[half + 1 :].T
     z = np.empty((p, half + 1), dtype=complex)
     w = np.empty(half + 1, dtype=complex)
-    ens = np.empty((config.replicates, n, p))
-    for r in range(config.replicates):
+
+    def draw(r: int, out: np.ndarray) -> np.ndarray:
         _replicate_rng(config.seed, r).standard_normal(out=buf)
         z[:, 0] = root2 * u[:, 0]
         z[:, half] = root2 * u[:, half]
         z.real[:, 1:half] = u[:, 1:half]
         z.imag[:, 1:half] = v
-        z *= inv_root
+        np.multiply(z, inv_root, out=z)
         for a in range(p):
             np.einsum("vk,vk->k", plan.roots[a], z, out=w)
             # numpy's hfft, without its conjugate temporary
-            ens[r, :, a] = irfft(np.conjugate(w, out=w), n=m, norm="forward")[:n]
-    return Ensemble(ens, {
-        "n": n, "m": m, "seed": config.seed, "replicates": config.replicates,
+            out[:, a] = irfft(np.conjugate(w, out=w), n=m, norm="forward")[:n]
+        return out
+
+    return draw
+
+
+def _run_meta(plan: CirculantPlan, config: SimulationConfig) -> dict[str, Any]:
+    """The record of one sampled run: simulate's meta, and the body of CLI
+    simulate's manifest.json."""
+    return {
+        "n": config.n, "m": plan.m, "seed": config.seed, "replicates": config.replicates,
         "eig_policy": plan.eig_policy.value,
         "exact": plan.exact, "truncated_mass": plan.truncated_mass,
         "doublings": plan.doublings, "min_rel_eigenvalue": plan.min_rel_eigenvalue,
         "rng": "philox, SeedSequence(entropy=seed, spawn_key=(replicate,))",
-    })
+    }
+
+
+def simulate(plan: CirculantPlan, config: SimulationConfig) -> Ensemble:
+    """Draw config.replicates increment paths from the factored embedding.
+
+    Returns one Ensemble: read-only increments of shape (R, n, p) and one
+    meta dict recording the run. Each replicate is drawn straight into its
+    row of the ensemble, so the working memory beyond the output is the
+    draw buffer, a complex copy of it and one row (see _sampler).
+    """
+    draw = _sampler(plan, config)
+    ens = np.empty((config.replicates, config.n, plan.params.p))
+    for r in range(config.replicates):
+        draw(r, ens[r])
+    return Ensemble(ens, _run_meta(plan, config))
 
 
 def toeplitz_covariance(params: MfbmParams, n: int) -> np.ndarray:

@@ -16,12 +16,17 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .circulant import (
+# simulate is unused here, but the benchmark tracer (perfbench/tracing.py)
+# wraps it under this module's name
+from .circulant import (  # noqa: F401
     CirculantEmbeddingError,
     SimulationConfig,
+    _run_meta,
+    _sampler,
     build_plan,
     simulate,
 )
@@ -39,11 +44,24 @@ from .limits import limit_target, load_kernel_spec, simulate_partial_sums
 from .params import load_params, params_to_dict, validate  # noqa: F401
 from .representations import ma_from_spectral, spectral_factor, spectral_factor_p2
 from .spectral import _coherence, _density, _omega_array, admissibility_matrix
-from .stats import compare_report, replicate_mean_stderr
+# compare_report is unused here, but the benchmark tracer wraps it under this
+# module's name
+from .stats import (  # noqa: F401
+    _check_components,
+    _checked_lags,
+    _lag_sums,
+    _report,
+    compare_report,
+    replicate_mean_stderr,
+)
 
 __all__ = ["main", "build_parser"]
 
 _FMT = "%.12g"
+# paths that simulate draws before it writes them, and that verify folds
+# into its lag sums, at a time: a few dozen, so neither command holds more
+# than this many whatever the replicate count
+_BATCH = 32
 _GRID_OPTIONS = ("--lags", "--omegas", "--taus", "--max-corr-grid", "--n-grid")
 
 
@@ -217,45 +235,56 @@ def _cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     plan = build_plan(params, config)
-    ensemble = simulate(plan, config)
+    draw = _sampler(plan, config)
+    batch = np.empty((min(config.replicates, _BATCH), config.n, params.p))
     header = ",".join(["t"] + [f"X_{k + 1}" for k in range(params.p)]) + "\n"
     row = "%d" + ("," + _FMT) * params.p + "\n"
     t0 = 0 if args.integrate else 1
-    for r, values in enumerate(ensemble.values):
+    for r in range(config.replicates):
+        path = batch[r % _BATCH]
+        if r % _BATCH == 0:
+            # the batch is drawn back to back, the sampler's buffers still
+            # in cache: a draw between two file writes runs measurably
+            # slower at small m
+            for k, out in enumerate(batch[: config.replicates - r]):
+                draw(r + k, out)
         if args.integrate:
             # the path from zero: numpy accumulates each column in time order
-            values = np.vstack((np.zeros((1, params.p)), np.cumsum(values, axis=0)))
+            path = np.vstack((np.zeros((1, params.p)), np.cumsum(path, axis=0)))
         with open(out_dir / f"path_{r:05d}.csv", "w", newline="") as handle:
             handle.write(header)
             handle.writelines(
-                row % (t0 + t, *x) for t, x in enumerate(values.tolist())
+                row % (t0 + t, *x) for t, x in enumerate(path.tolist())
             )
     wall = time.perf_counter() - start
     manifest = {
         "params": params_to_dict(params),
-        **ensemble.meta,
+        **_run_meta(plan, config),
         "integrate": bool(args.integrate),
         "wall_time_seconds": wall,
     }
     with open(out_dir / "manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
-    print(f"wrote {len(ensemble)} paths to {out_dir} (m={plan.m}, exact={plan.exact})")
+    print(f"wrote {config.replicates} paths to {out_dir} (m={plan.m}, exact={plan.exact})")
     return 0
 
 
-def _read_increments(paths: str) -> np.ndarray:
-    """Every path CSV in the directory paths, as one (files, n, p) increment array.
+def _read_increments(paths: str) -> Iterator[np.ndarray]:
+    """The increments of every path CSV in the directory paths, one
+    (n, p) array per file, in file name order.
 
-    Each file is parsed and copied into one buffer sized from the first
-    path file, so the ensemble is held once; an integrated file is
-    differenced on its own first. Whether the files hold integrated paths
-    comes from manifest.json when it is present; without one, a t column
-    starting at 0 means integrated. A CSV without the path header, e.g. a
-    previously written report, is skipped and listed on stderr; a path
-    file holding a NaN or infinite value is refused, and so is a count of
-    path files other than the replicates manifest.json records, as when
-    files of an earlier, larger run are left in the directory.
+    Files are parsed one at a time, so the ensemble is never held; an
+    integrated file is differenced on its own. Whether the files hold
+    integrated paths comes from manifest.json when it is present; without
+    one, a t column starting at 0 means integrated. A CSV without the path
+    header, e.g. a previously written report, is skipped and listed on
+    stderr. Refused: a path file holding a NaN or infinite value, or
+    increments of another shape than the first file's; and, once every
+    file is read, no path file, a mix of integrated and increment files,
+    or a count of path files other than the replicates manifest.json
+    records, as when files of an earlier, larger run are left in the
+    directory.
     """
     root = Path(paths)
     manifest = {}
@@ -271,12 +300,11 @@ def _read_increments(paths: str) -> np.ndarray:
                 f"{manifest_path} must hold a JSON object with \"integrate\" true or false"
             )
     manifest_integrate = manifest.get("integrate")
-    files = sorted(root.glob("*.csv"))
-    buffer = None
+    first = None
     count = 0
     integrated_flags = set()
     skipped = []
-    for f in files:
+    for f in sorted(root.glob("*.csv")):
         with open(f, newline="") as handle:
             if handle.readline().strip().split(",")[0] != "t":
                 skipped.append(f"{f.name} (not a path file)")
@@ -297,21 +325,20 @@ def _read_increments(paths: str) -> np.ndarray:
         else:
             integrated = manifest_integrate
         values = np.diff(data[:, 1:], axis=0) if integrated else data[:, 1:]
-        if buffer is None:
-            first = f
-            buffer = np.empty((len(files), *values.shape))
-        elif values.shape != buffer.shape[1:]:
+        if first is None:
+            first, shape = f, values.shape
+        elif values.shape != shape:
             raise ValueError(
                 f"{f} holds increments of shape {values.shape}, "
-                f"but {first} holds {buffer.shape[1:]}"
+                f"but {first} holds {shape}"
             )
-        buffer[count] = values
         count += 1
         integrated_flags.add(integrated)
+        yield values
     if skipped:
         noun = "file" if len(skipped) == 1 else "files"
         print(f"skipped {len(skipped)} {noun}: {', '.join(skipped)}", file=sys.stderr)
-    if buffer is None:
+    if first is None:
         raise ValueError(f"no path files found under {paths}")
     if "replicates" in manifest and count != manifest["replicates"]:
         raise ValueError(
@@ -320,15 +347,42 @@ def _read_increments(paths: str) -> np.ndarray:
         )
     if len(integrated_flags) != 1:
         raise ValueError("mixed integrated and increment path files")
-    return buffer[:count]
+
+
+def _lag_sums_of_files(paths: str, params, lags: list[int]) -> np.ndarray:
+    """The stacked per-replicate lag sums (stats._lag_sums) of every path
+    file under paths, one row per file.
+
+    The component count and the lags are checked against the first file
+    before any other is parsed. Files are copied into a buffer of _BATCH
+    replicates, and each full buffer is folded into the sums, so the
+    increments of at most that many files are held at once.
+    """
+    batch = None
+    sums = []
+    filled = 0
+    for values in _read_increments(paths):
+        if batch is None:
+            _check_components(values.shape[1], params)
+            _checked_lags(lags, len(values))
+            batch = np.empty((_BATCH, *values.shape))
+        batch[filled] = values
+        filled += 1
+        if filled == _BATCH:
+            sums.append(_lag_sums(batch, lags))
+            filled = 0
+    if filled:
+        sums.append(_lag_sums(batch[:filled], lags))
+    return np.concatenate(sums)
 
 
 def _cmd_verify(args) -> int:
     """Compare the path files under --paths against the closed form."""
     params = load_params(args.params)
     lags = _parse_int_grid(args.lags)
-    values = _read_increments(args.paths)
-    comparisons, summary = compare_report(values, params, lags, delta=args.delta)
+    comparisons, summary = _report(
+        _lag_sums_of_files(args.paths, params, lags), params, lags, args.delta
+    )
     rows = [
         [c.i, c.j, c.h, *map(_fmt, (c.delta, c.empirical, c.theoretical, c.stderr, c.z)),
          c.n_replicates]

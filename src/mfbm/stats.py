@@ -94,27 +94,38 @@ def replicate_mean_stderr(values) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK_ROWS = 2048
 
 
-def _lag_moments(values: np.ndarray, lags: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and replicate stderrs of all pairs, two (L, p, p) arrays;
-    entry [k, i, j] is pair (i, j) at the integer lag h = lags[k].
-
-    Replicate r contributes the average of values[r, t, i] * values[r, t + h, j]
-    over the n - |h| overlapping t. One pass walks the time axis in chunks
-    of _CHUNK_ROWS rows, across all replicates, and adds every lag's
-    batched matmul of two slice views of the chunk into one (R, L, p, p)
-    accumulator: the ensemble is read once for all lags and none of it is copied.
-    """
-    if values.ndim != 3:
-        raise ValueError("values must have shape (replicates, n, p)")
-    r_count, n, p = values.shape
-    if r_count < MIN_REPLICATES:
-        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {r_count}")
+def _checked_lags(lags: Sequence, n: int) -> list[int]:
+    """The lags as ints; a lag that is not an integer, or whose size is not
+    below the path length n, is refused."""
     for h in lags:
         if not float(h).is_integer():
             raise ValueError(f"lag {h!r} must be an integer")
         if abs(h) >= n:
             raise ValueError(f"|h|={abs(h)} must be smaller than the path length {n}")
-    lags = [int(h) for h in lags]
+    return [int(h) for h in lags]
+
+
+def _check_components(p: int, params: MfbmParams) -> None:
+    if p != params.p:
+        raise ValueError(f"the ensemble has {p} components, the parameters p = {params.p}")
+
+
+def _lag_sums(values: np.ndarray, lags: Sequence) -> np.ndarray:
+    """Per-replicate lag products of an (R, n, p) ensemble, shape (R, L, p, p);
+    entry [r, k, i, j] is the average of values[r, t, i] * values[r, t + h, j]
+    over the n - |h| overlapping t, for the integer lag h = lags[k].
+
+    One pass walks the time axis in chunks of _CHUNK_ROWS rows, across all
+    replicates, and adds every lag's batched matmul of two slice views of
+    the chunk into one (R, L, p, p) accumulator: the ensemble is read once
+    for all lags and none of it is copied. Replicate r's entries depend on
+    values[r] alone, so sums of a few replicates at a time, stacked, are
+    bitwise the sums of them all.
+    """
+    if values.ndim != 3:
+        raise ValueError("values must have shape (replicates, n, p)")
+    r_count, n, p = values.shape
+    lags = _checked_lags(lags, n)
     sums = np.zeros((r_count, len(lags), p, p))
     tmp = np.empty((r_count, p, p))
     for t0 in range(0, n, _CHUNK_ROWS):
@@ -128,6 +139,14 @@ def _lag_moments(values: np.ndarray, lags: Sequence[int]) -> tuple[np.ndarray, n
                 lead, lag = lag, lead
             sums[:, k] += np.matmul(lead.transpose(0, 2, 1), lag, out=tmp)
     sums /= (n - np.abs(lags))[:, None, None]
+    return sums
+
+
+def _moments(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and replicate stderrs, two (L, p, p) arrays, of stacked
+    per-replicate lag sums; fewer than MIN_REPLICATES replicates are refused."""
+    if len(sums) < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {len(sums)}")
     return replicate_mean_stderr(sums)
 
 
@@ -141,7 +160,7 @@ def empirical_cross_cov(
     no sample mean is subtracted. It is entry [0, i, j] of the moments
     of the one lag h, equal to compare_report's (i, j, h) cell exactly.
     """
-    estimates, stderrs = _lag_moments(np.asarray(values), [h])
+    estimates, stderrs = _moments(_lag_sums(np.asarray(values), [h]))
     p = estimates.shape[1]
     for k in (i, j):
         if not 0 <= k < p:
@@ -165,19 +184,25 @@ def compare_report(
     theoretical target; the ensemble is assumed simulated at unit step.
     """
     values = np.asarray(values)
-    if values.ndim == 3 and values.shape[2] != params.p:
-        raise ValueError(
-            f"the ensemble has {values.shape[2]} components, the parameters p = {params.p}"
-        )
+    if values.ndim == 3:
+        _check_components(values.shape[2], params)
     lags = list(lags)
-    estimates, stderrs = _lag_moments(values, lags)
+    return _report(_lag_sums(values, lags), params, lags, delta)
+
+
+def _report(
+    sums: np.ndarray, params: MfbmParams, lags: list, delta: float
+) -> tuple[list[CovComparison], ReportSummary]:
+    """compare_report's cells and summary from the stacked (R, L, p, p)
+    per-replicate lag sums of the checked lags (see _lag_sums)."""
+    estimates, stderrs = _moments(sums)
     targets = lag_block_array(params, lags, delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (estimates - targets) / stderrs
     cells = [
         CovComparison(
             i, j, float(lags[k]), delta, float(estimates[k, i, j]), float(targets[k, i, j]),
-            float(stderrs[k, i, j]), float(z[k, i, j]), values.shape[0],
+            float(stderrs[k, i, j]), float(z[k, i, j]), len(sums),
         )
         for k, i, j in np.ndindex(z.shape)
     ]

@@ -19,7 +19,7 @@ from mfbm import (
     simulate,
     toeplitz_covariance,
 )
-from mfbm.circulant import MAX_DOUBLINGS, _half_generator, _replicate_rng
+from mfbm.circulant import MAX_DOUBLINGS, _half_generator, _replicate_rng, _sampler
 from conftest import make_params, random_admissible
 
 # Admissible pair whose circulant embedding is indefinite at every
@@ -262,6 +262,23 @@ def test_simulate_matches_definition(rng, p, n):
         assert values.flags.c_contiguous and values.flags.owndata
         assert not values.flags.writeable and values.shape == want.shape
         assert np.allclose(values, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sampler_draws_the_replicates_of_simulate(rng, p):
+    # the routine CLI simulate streams from: one reused (n, p) row, filled
+    # in any order, holds simulate's replicate r bit for bit, also at a
+    # path length below the plan's
+    params = random_admissible(rng, p)
+    assert p == 1 or np.any(params.eta != 0.0)
+    plan = build_plan(params, SimulationConfig(n=17))
+    config = SimulationConfig(n=11, replicates=4, seed=5)
+    want = simulate(plan, config).values
+    draw = _sampler(plan, config)
+    row = np.empty((11, p))
+    for r in (3, 0, 2, 1, 3):
+        assert draw(r, row) is row
+        assert row.tobytes() == want[r].tobytes()
 
 
 def test_simulate_shapes_and_integration(rng):

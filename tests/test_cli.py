@@ -288,6 +288,26 @@ def test_simulate_integrated_paths_verify(params_file, tmp_path):
     assert rc == 0
 
 
+def assert_files_render(out, params, config, integrate):
+    """The path files under out are the library's paths of config, at %.12g."""
+    ensemble = simulate(build_plan(params, config), config).values
+    if integrate:
+        # paths from zero: the cumulative sum of the library's increments
+        ensemble = np.concatenate(
+            (np.zeros((len(ensemble), 1, params.p)), np.cumsum(ensemble, axis=1)), axis=1
+        )
+    assert len(list(out.glob("path_*.csv"))) == len(ensemble)
+    header = ",".join(["t"] + [f"X_{k + 1}" for k in range(params.p)])
+    t0 = 0 if integrate else 1
+    for r, values in enumerate(ensemble):
+        lines = [header] + [
+            f"{t0 + t}," + ",".join("%.12g" % v for v in row)
+            for t, row in enumerate(values)
+        ]
+        text = (out / f"path_{r:05d}.csv").read_text()
+        assert text == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("integrate", [False, True])
 def test_simulate_files_render_the_library_paths(params_file, tmp_path, integrate):
     out = tmp_path / "paths"
@@ -295,19 +315,23 @@ def test_simulate_files_render_the_library_paths(params_file, tmp_path, integrat
     argv += ["--seed", "9", "--out", str(out)] + (["--integrate"] if integrate else [])
     assert main(argv) == 0
     config = SimulationConfig(n=40, seed=9, replicates=3)
-    ensemble = simulate(build_plan(load_params(params_file), config), config).values
-    if integrate:
-        # paths from zero: the cumulative sum of the library's increments
-        ensemble = np.concatenate((np.zeros((3, 1, 2)), np.cumsum(ensemble, axis=1)), axis=1)
-    assert len(list(out.glob("path_*.csv"))) == len(ensemble)
-    t0 = 0 if integrate else 1
-    for r, values in enumerate(ensemble):
-        lines = ["t,X_1,X_2"] + [
-            f"{t0 + t}," + ",".join("%.12g" % v for v in row)
-            for t, row in enumerate(values)
-        ]
-        text = (out / f"path_{r:05d}.csv").read_text()
-        assert text == "\n".join(lines) + "\n"
+    assert_files_render(out, load_params(params_file), config, integrate)
+
+
+@pytest.mark.parametrize("integrate", [False, True])
+def test_simulate_streams_the_library_paths_at_p3(tmp_path, integrate):
+    # CLI simulate writes each replicate as it is drawn; the files are the
+    # library's ensemble all the same, for three components with eta != 0
+    params = random_admissible(np.random.default_rng(3), 3)
+    assert np.any(params.eta != 0.0)
+    params_path = tmp_path / "p3.json"
+    dump_params(params, params_path)
+    out = tmp_path / "paths"
+    argv = ["simulate", "--params", str(params_path), "--n", "37", "--replicates", "5"]
+    argv += ["--seed", "4", "--out", str(out)] + (["--integrate"] if integrate else [])
+    assert main(argv) == 0
+    config = SimulationConfig(n=37, seed=4, replicates=5)
+    assert_files_render(out, load_params(params_path), config, integrate)
 
 
 def test_verify_flags_wrong_law(params_file, tmp_path):
@@ -390,7 +414,9 @@ def test_verify_rejects_unequal_path_lengths(params_file, tmp_path, capsys):
     short = out_dir / "path_00003.csv"
     short.write_text("".join(short.read_text().splitlines(keepends=True)[:-1]))
     capsys.readouterr()
-    assert main(["verify", "--paths", str(out_dir), "--params", params_file]) == 2
+    # lags valid for the first file, which refuses the default 0..20 first
+    argv = ["verify", "--paths", str(out_dir), "--params", params_file, "--lags", "0:3:4"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert "path_00003.csv holds increments of shape (15, 2)" in err
     assert "path_00000.csv holds (16, 2)" in err
@@ -425,7 +451,9 @@ def test_verify_rejects_a_non_finite_value(params_file, tmp_path, capsys, value)
     lines[3] = f"3,{value},0.5\n"
     target.write_text("".join(lines))
     capsys.readouterr()
-    assert main(["verify", "--paths", str(out_dir), "--params", params_file]) == 2
+    # lags valid for the first file, which refuses the default 0..20 first
+    argv = ["verify", "--paths", str(out_dir), "--params", params_file, "--lags", "0:3:4"]
+    assert main(argv) == 2
     assert f"{target} holds a non-finite value" in capsys.readouterr().err
 
 
@@ -449,28 +477,55 @@ def test_verify_rejects_a_bad_manifest(params_file, tmp_path, capsys, text):
     assert str(out_dir / "manifest.json") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("integrate", [False, True])
-def test_verify_working_memory(params_file, tmp_path, integrate):
-    # every file is copied into one (R, n, p) buffer: no list of parsed
-    # files, no stacked copy and no differenced copy of the stack (the
-    # stacking reader peaked at 2.68 and 3.56 ensembles)
-    reps, n, p = 40, 2048, 2
-    out_dir = tmp_path / "paths"
-    argv = ["simulate", "--params", params_file, "--n", str(n), "--replicates", str(reps)]
-    argv += ["--out", str(out_dir)] + (["--integrate"] if integrate else [])
-    assert main(argv) == 0
-    report = tmp_path / "report.csv"
+# bytes that a CLI command's traced peak may grow by from 40 to 200
+# replicates at n = 256, p = 2; holding the 160 extra replicates would
+# add 655,360
+WORKING_MEMORY_MARGIN = 160 * 1024
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak of one successful CLI command."""
     tracemalloc.start()
     try:
-        rc = main(
-            ["verify", "--paths", str(out_dir), "--params", params_file,
-             "--lags", "0:3:4", "--out", str(report)]
-        )
+        rc = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak <= 1.5 * reps * n * p * 8
+    return peak
+
+
+def simulate_argv(params_file, out_dir, replicates, integrate):
+    argv = ["simulate", "--params", params_file, "--n", "256", "--replicates", str(replicates)]
+    return argv + ["--out", str(out_dir)] + (["--integrate"] if integrate else [])
+
+
+@pytest.mark.parametrize("integrate", [False, True])
+def test_verify_working_memory(params_file, tmp_path, integrate):
+    # path files are folded into per-replicate lag sums a batch at a time,
+    # so the peak does not grow with the replicate count (the reader that
+    # copied every file into one (R, n, p) buffer grew by a whole ensemble)
+    peaks = []
+    for reps in (40, 200):
+        out_dir = tmp_path / f"paths-{reps}"
+        assert main(simulate_argv(params_file, out_dir, reps, integrate)) == 0
+        peaks.append(traced_peak(
+            ["verify", "--paths", str(out_dir), "--params", params_file,
+             "--lags", "0:3:4", "--out", str(tmp_path / "report.csv")]
+        ))
+    assert peaks[1] - peaks[0] <= WORKING_MEMORY_MARGIN, peaks
+
+
+@pytest.mark.parametrize("integrate", [False, True])
+def test_simulate_working_memory(params_file, tmp_path, integrate):
+    # each replicate is written as it is drawn, into one reused row, so
+    # the peak does not grow with the replicate count (drawing the whole
+    # ensemble first grew by all of it)
+    peaks = [
+        traced_peak(simulate_argv(params_file, tmp_path / f"paths-{reps}", reps, integrate))
+        for reps in (40, 200)
+    ]
+    assert peaks[1] - peaks[0] <= WORKING_MEMORY_MARGIN, peaks
 
 
 def test_verify_refuses_path_files_left_by_an_earlier_run(params_file, tmp_path, capsys):
@@ -489,6 +544,19 @@ def test_verify_refuses_path_files_left_by_an_earlier_run(params_file, tmp_path,
     for stale in range(31, 40):
         (out_dir / f"path_{stale:05d}.csv").unlink()
     assert main(argv) == 0
+
+
+def test_verify_refuses_a_bad_lag_at_the_first_path_file(params_file, tmp_path, capsys):
+    # lags and the component count are checked against the first file, so
+    # the lag is named before the later, unreadable file is parsed
+    out_dir = tmp_path / "paths"
+    argv = ["simulate", "--params", params_file, "--n", "16", "--replicates", "40"]
+    assert main(argv + ["--out", str(out_dir)]) == 0
+    (out_dir / "path_00039.csv").write_text("t,X_1,X_2\n1,0.5,oops\n")
+    capsys.readouterr()
+    argv = ["verify", "--paths", str(out_dir), "--params", params_file, "--lags", "0,3,-16"]
+    assert main(argv) == 2
+    assert "error: |h|=16 must be smaller than the path length 16" in capsys.readouterr().err
 
 
 def test_verify_rejects_empty_directory(params_file, tmp_path):

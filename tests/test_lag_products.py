@@ -1,4 +1,5 @@
 """The one-pass lag products behind compare_report and empirical_cross_cov."""
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,31 @@ def test_lag_moments_agree_across_chunk_boundaries(monkeypatch):
         assert c.empirical == pytest.approx(w.empirical, rel=1e-14)
         assert c.stderr == pytest.approx(w.stderr, rel=1e-14)
         assert empirical_cross_cov(values, c.i, c.j, int(c.h)) == (c.empirical, c.stderr)
+
+
+# sha256 of the float64 (empirical, stderr, z) triple of every cell of the
+# report below, frozen from the one-shot estimator
+FROZEN_REPORT_SHA256 = "ce891fa1da7b70cbe444276d432ede59f7bbd4cd1772f0633dce2c351f62bb2a"
+
+
+@pytest.mark.parametrize("size", [1, 7, 45])
+def test_lag_sums_in_batches_stack_to_the_one_shot_sums(size):
+    # CLI verify folds path files into the per-replicate sums a batch at a
+    # time; the stacked batches must be the one-shot sums bit for bit, and
+    # the report built on them compare_report's, frozen
+    values = iid_ensemble(reps=45, n=64, p=3, seed=5) + 0.25
+    params = make_params([0.3, 0.7, 0.5], rho01=0.2)
+    lags = [0, 1, -3, 7, 63]
+    whole = stats._lag_sums(values, lags)
+    assert whole.shape == (45, len(lags), 3, 3)
+    batched = np.concatenate(
+        [stats._lag_sums(values[start : start + size], lags) for start in range(0, 45, size)]
+    )
+    assert batched.tobytes() == whole.tobytes()
+    cells, summary = compare_report(values, params, lags)
+    triples = np.array([(c.empirical, c.stderr, c.z) for c in cells])
+    assert hashlib.sha256(triples.tobytes()).hexdigest() == FROZEN_REPORT_SHA256
+    assert stats._report(batched, params, lags, 1.0) == (cells, summary)
 
 
 def test_compare_report_reads_the_ensemble_in_place():
