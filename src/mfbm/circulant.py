@@ -10,11 +10,11 @@ block eigenvalue is nonnegative.
 The generator of a real embedding is transpose-mirrored and its
 spectrum conjugate-mirrored, so the sampler colors frequencies 0..m/2
 only, and one real inverse transform of that half spectrum (numpy's
-``hfft``) returns a real component path directly. The plan stores two
-arrays over those frequencies: the block eigenvalues and the square
-roots, component-major (p, p, m/2+1), so that each output component is
-colored from contiguous rows and transformed on its own. The generator
-blocks are recomputed on access rather than stored.
+``hfft``) returns a real component path directly. The plan stores one
+array over those frequencies, the square roots, component-major
+(p, p, m/2+1), so that each output component is colored from contiguous
+rows and transformed on its own. The generator blocks are recomputed on
+access rather than stored.
 
 Increments are simulated at unit step; rescale by self-similarity for
 other steps. The sampler returns increments only: an integrated path is
@@ -125,15 +125,14 @@ class CirculantEmbeddingError(RuntimeError):
 class CirculantPlan:
     """Frozen factorization shared by all replicates of a run.
 
-    Two arrays are stored, both for frequencies k = 0..m/2 only:
-    eigenvalues_half[k], shape (m/2+1, p), the eigenvalues of the DFT
-    block at frequency k, and roots, the Hermitian PSD square roots
-    actually applied, component-major: roots[u, v] is the (u, v) entry
-    of every root, shape (p, p, m/2+1). sqrt_blocks is a read-only
+    One array is stored: roots, the Hermitian PSD square roots applied at
+    frequencies k = 0..m/2, component-major: roots[u, v] is the (u, v)
+    entry of every root, shape (p, p, m/2+1). sqrt_blocks is a read-only
     (m/2+1, p, p) view of roots. The full-length c_blocks (the circulant
     generator, the fold block j = m/2 symmetrized) and b_blocks (its DFT
-    blocks) are read-only, built on first access and kept on the plan from
-    then on (they then appear in vars(plan)).
+    blocks, whose eigenvalues the record below is read from) are read-only,
+    built on first access and kept on the plan from then on (they then
+    appear in vars(plan)).
     exact is False only when eigenvalue mass beyond round-off was
     truncated; truncated_mass records everything clipped, round-off
     included. doublings counts how often the order was doubled from the
@@ -145,7 +144,6 @@ class CirculantPlan:
     n: int
     m: int
     eig_policy: EigPolicy
-    eigenvalues_half: np.ndarray
     roots: np.ndarray
     truncated_mass: float
     exact: bool
@@ -153,8 +151,7 @@ class CirculantPlan:
     min_rel_eigenvalue: float
 
     def __post_init__(self):
-        for name in ("eigenvalues_half", "roots"):
-            getattr(self, name).setflags(write=False)
+        self.roots.setflags(write=False)
 
     @property
     def sqrt_blocks(self) -> np.ndarray:
@@ -292,7 +289,6 @@ def build_plan(params: MfbmParams, config: SimulationConfig) -> CirculantPlan:
             n=config.n,
             m=m,
             eig_policy=config.eig_policy,
-            eigenvalues_half=vals,
             roots=roots,
             truncated_mass=truncated_mass,
             exact=exact,

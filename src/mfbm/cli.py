@@ -41,7 +41,7 @@ from .existence import (
 from .limits import limit_target, load_kernel_spec, simulate_partial_sums
 # validate is unused here, but the benchmark tracer (perfbench/tracing.py)
 # wraps it under this module's name
-from .params import load_params, params_to_dict, validate  # noqa: F401
+from .params import _load_json, load_params, params_to_dict, validate  # noqa: F401
 from .representations import ma_from_spectral, spectral_factor, spectral_factor_p2
 from .spectral import _coherence, _density, _omega_array, admissibility_matrix
 # compare_report is unused here, but the benchmark tracer wraps it under this
@@ -275,34 +275,31 @@ def _read_increments(paths: str) -> Iterator[np.ndarray]:
     (n, p) array per file, in file name order.
 
     Files are parsed one at a time, so the ensemble is never held; an
-    integrated file is differenced on its own. Whether the files hold
-    integrated paths comes from manifest.json when it is present; without
-    one, a t column starting at 0 means integrated. A CSV without the path
-    header, e.g. a previously written report, is skipped and listed on
-    stderr. Refused: a path file holding a NaN or infinite value, or
-    increments of another shape than the first file's; and, once every
-    file is read, no path file, a mix of integrated and increment files,
-    or a count of path files other than the replicates manifest.json
+    integrated file is differenced on its own. Every file holds integrated
+    paths (t from 0) or every one increments (t from 1), as manifest.json's
+    integrate says, or without one the first path file's t. A CSV without
+    the path header, e.g. a previously written report, is skipped and
+    listed on stderr. Refused as it is read: a path file whose t starts
+    elsewhere, holds a NaN or infinite value, or increments of another
+    shape than the first file's; and, once every file is read, no path
+    file, or a count of path files other than the replicates manifest.json
     records, as when files of an earlier, larger run are left in the
     directory.
     """
     root = Path(paths)
     manifest = {}
+    integrated = None
     manifest_path = root / "manifest.json"
     if manifest_path.is_file():
-        with open(manifest_path) as handle:
-            try:
-                manifest = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{manifest_path} is not valid JSON: {exc}") from None
+        manifest = _load_json(manifest_path)
         if not isinstance(manifest, dict) or not isinstance(manifest.get("integrate"), bool):
             raise ValueError(
                 f"{manifest_path} must hold a JSON object with \"integrate\" true or false"
             )
-    manifest_integrate = manifest.get("integrate")
+        integrated = manifest["integrate"]
+        rule = f"integrate={integrated} in {manifest_path}"
     first = None
     count = 0
-    integrated_flags = set()
     skipped = []
     for f in sorted(root.glob("*.csv")):
         with open(f, newline="") as handle:
@@ -315,15 +312,16 @@ def _read_increments(paths: str) -> Iterator[np.ndarray]:
         if not np.all(np.isfinite(data)):
             raise ValueError(f"{f} holds a non-finite value")
         t0 = float(data[0, 0])
-        if manifest_integrate is None:
+        if integrated is None:
+            if t0 not in (0.0, 1.0):
+                raise ValueError(
+                    f"{f} has t starting at {t0:g}: a path file's t starts at 0 "
+                    "(integrated) or 1 (increments)"
+                )
             integrated = t0 == 0.0
-        elif t0 != (0.0 if manifest_integrate else 1.0):
-            raise ValueError(
-                f"{f} has t starting at {t0:g}, which contradicts "
-                f"integrate={manifest_integrate} in manifest.json"
-            )
-        else:
-            integrated = manifest_integrate
+            rule = f"{f}, the first path file, whose t starts at {t0:g}"
+        elif t0 != (0.0 if integrated else 1.0):
+            raise ValueError(f"{f} has t starting at {t0:g}, which contradicts {rule}")
         values = np.diff(data[:, 1:], axis=0) if integrated else data[:, 1:]
         if first is None:
             first, shape = f, values.shape
@@ -333,7 +331,6 @@ def _read_increments(paths: str) -> Iterator[np.ndarray]:
                 f"but {first} holds {shape}"
             )
         count += 1
-        integrated_flags.add(integrated)
         yield values
     if skipped:
         noun = "file" if len(skipped) == 1 else "files"
@@ -345,8 +342,6 @@ def _read_increments(paths: str) -> Iterator[np.ndarray]:
             f"{paths} holds {count} path files, but manifest.json records "
             f"{manifest['replicates']!r} replicates: files of an earlier run?"
         )
-    if len(integrated_flags) != 1:
-        raise ValueError("mixed integrated and increment path files")
 
 
 def _lag_sums_of_files(paths: str, params, lags: list[int]) -> np.ndarray:
@@ -540,7 +535,7 @@ def main(argv=None) -> int:
     except (CovarianceExistenceError, CirculantEmbeddingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ p^2 (2K + 1) floats; realize_kernel gives the coefficients themselves.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .circulant import _check_seed, _replicate_rng
-from .params import MfbmParams, _check_declared_p, _check_int, _check_real
+from .params import MfbmParams, _check_declared_p, _check_int, _check_real, _load_json
 from .representations import MovingAveragePair, params_from_ma
 
 __all__ = [
@@ -146,8 +145,7 @@ def load_kernel_spec(path: str | Path) -> KernelSpec:
     Keys plus and minus hold p x p grids of cells {regime, alpha, d} or
     null; truncation and a declared p are optional.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _load_json(path)
     if not isinstance(payload, dict):
         raise ValueError("a kernel file must hold one JSON object")
     extra = set(payload) - {"p", "plus", "minus", "truncation"}

@@ -245,10 +245,18 @@ def params_from_dict(payload: dict) -> MfbmParams:
     return params
 
 
+def _load_json(path: str | Path):
+    """The JSON document in the file at path, which a ValueError names if malformed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_params(path: str | Path) -> MfbmParams:
     """Read a parameter set from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))
+    return params_from_dict(_load_json(path))
 
 
 def dump_params(params: MfbmParams, path: str | Path) -> None:

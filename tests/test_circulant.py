@@ -124,12 +124,17 @@ def test_plan_blocks_match_lag_covariances(rng):
     assert np.abs(off).max() == 0.0
 
 
+def half_eigenvalues(plan):
+    """The block eigenvalues at frequencies 0..m/2, as build_plan computes them."""
+    return np.linalg.eigh(plan.b_blocks[: plan.m // 2 + 1])[0]
+
+
 def test_plan_eigen_mirror_and_exactness(rng):
     params = random_admissible(rng, 2)
     plan = build_plan(params, SimulationConfig(n=16, eig_policy="fail"))
     assert plan.exact
-    assert plan.truncated_mass <= 1e-10 * plan.eigenvalues_half.max()
     half = plan.m // 2
+    assert plan.truncated_mass <= 1e-10 * half_eigenvalues(plan).max()
     assert plan.sqrt_blocks.shape == (half + 1, 2, 2)
     rebuilt = np.einsum(
         "kuv,kvw->kuw", plan.sqrt_blocks, plan.sqrt_blocks, optimize=True
@@ -145,7 +150,7 @@ def test_plan_eigen_mirror_and_exactness(rng):
 def test_plan_records_doublings_and_eigenvalue_margin():
     plan = build_plan(GROWS_ONCE, SimulationConfig(n=3, m=4))
     assert (plan.m, plan.doublings, plan.exact) == (8, 1, True)
-    vals = plan.eigenvalues_half
+    vals = half_eigenvalues(plan)
     assert plan.min_rel_eigenvalue == vals.min() / vals.max()
     assert plan.min_rel_eigenvalue > 0.0
     kept = build_plan(GROWS_ONCE, SimulationConfig(n=3, m=4, eig_policy="truncate"))
@@ -154,8 +159,8 @@ def test_plan_records_doublings_and_eigenvalue_margin():
 
 
 def _half_plan_bytes(m, p):
-    # float eigenvalues, complex square roots
-    return (m // 2 + 1) * (8 * p + 16 * p * p)
+    # complex square roots
+    return (m // 2 + 1) * 16 * p * p
 
 
 def test_plan_stores_only_the_half_grid(rng):
@@ -163,12 +168,12 @@ def test_plan_stores_only_the_half_grid(rng):
     plan = build_plan(params, SimulationConfig(n=20))
     m, half = plan.m, plan.m // 2
     stored = {k: v for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
-    assert set(stored) == {"eigenvalues_half", "roots"}
-    assert plan.eigenvalues_half.shape == (half + 1, 3)
+    assert set(stored) == {"roots"}
+    assert half_eigenvalues(plan).shape == (half + 1, 3)
     assert plan.roots.shape == (3, 3, half + 1) and plan.roots.flags.c_contiguous
     assert sum(a.nbytes for a in stored.values()) == _half_plan_bytes(m, 3)
     # the exact-wide benchmark plan: p=5, m=2^17
-    assert _half_plan_bytes(2**17, 5) == 28_836_280
+    assert _half_plan_bytes(2**17, 5) == 26_214_800
     assert plan.sqrt_blocks.shape == (half + 1, 3, 3)
     assert np.shares_memory(plan.sqrt_blocks, plan.roots)
     assert np.array_equal(plan.sqrt_blocks[:, 0, 1], plan.roots[0, 1])

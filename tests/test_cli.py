@@ -159,6 +159,13 @@ def test_check_boundary_curve(params_file, tmp_path):
     assert float(rows[0]["eta_prime"]) == 0.0
 
 
+def test_check_boundary_needs_two_components(tmp_path, capsys):
+    three = tmp_path / "three.json"
+    dump_params(make_params([0.3, 0.5, 0.7]), three)
+    assert main(["check", "--params", str(three), "--boundary"]) == 2
+    assert "--boundary needs a two component parameter file" in capsys.readouterr().err
+
+
 def test_check_modes_exclude_each_other(params_file, capsys):
     # the boundary was written and the grid ignored without a word
     with pytest.raises(SystemExit) as caught:
@@ -384,6 +391,54 @@ def test_verify_reads_integrate_from_manifest(params_file, tmp_path):
     # without a manifest the t column decides
     manifest_path.unlink()
     assert main(argv) == 0
+
+
+def shift_t(path, start):
+    """Rewrite the t column of a path file to count from start."""
+    lines = path.read_text().splitlines(keepends=True)
+    rows = [line.split(",", 1)[1] for line in lines[1:]]
+    path.write_text(lines[0] + "".join(f"{start + t},{row}" for t, row in enumerate(rows)))
+
+
+def test_verify_without_a_manifest_needs_t_from_0_or_1(params_file, tmp_path, capsys):
+    # t from 5 was read as increments, and verify exited 0
+    out_dir = tmp_path / "paths"
+    argv = ["simulate", "--params", params_file, "--n", "64", "--replicates", "40"]
+    assert main(argv + ["--out", str(out_dir)]) == 0
+    (out_dir / "manifest.json").unlink()
+    for path in out_dir.glob("path_*.csv"):
+        shift_t(path, 5)
+    capsys.readouterr()
+    argv = ["verify", "--paths", str(out_dir), "--params", params_file, "--lags", "0:3:4"]
+    assert main(argv) == 2
+    assert (
+        f"error: {out_dir / 'path_00000.csv'} has t starting at 5: a path file's t "
+        "starts at 0 (integrated) or 1 (increments)"
+    ) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("integrate", [False, True])
+def test_verify_without_a_manifest_holds_every_file_to_the_first(
+    params_file, tmp_path, capsys, integrate
+):
+    # the first file sets the rule; the first file that breaks it is named
+    # before a later, unreadable one is parsed
+    out_dir = tmp_path / "paths"
+    argv = ["simulate", "--params", params_file, "--n", "16", "--replicates", "40"]
+    assert main(argv + ["--out", str(out_dir)] + (["--integrate"] if integrate else [])) == 0
+    (out_dir / "manifest.json").unlink()
+    start = 0 if integrate else 1
+    for r in (5, 9):
+        shift_t(out_dir / f"path_{r:05d}.csv", 1 - start)
+    (out_dir / "path_00039.csv").write_text("t,X_1,X_2\n1,0.5,oops\n")
+    capsys.readouterr()
+    argv = ["verify", "--paths", str(out_dir), "--params", params_file, "--lags", "0:3:4"]
+    assert main(argv) == 2
+    assert (
+        f"error: {out_dir / 'path_00005.csv'} has t starting at {1 - start}, "
+        f"which contradicts {out_dir / 'path_00000.csv'}, the first path file, "
+        f"whose t starts at {start}"
+    ) in capsys.readouterr().err
 
 
 def test_verify_rejects_unreadable_path_file(params_file, tmp_path):
@@ -768,6 +823,29 @@ def test_grid_options_reject_non_finite_values(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, option", GRID_COMMANDS)
+@pytest.mark.parametrize(
+    "grid, message",
+    [("1:2", "must look like start:stop:count"), ("0:5:0", "grid count must be positive")],
+    ids=["two-fields", "zero-count"],
+)
+def test_grid_options_reject_a_malformed_range(
+    params_file, kernels_file, tmp_path, capsys, command, option, grid, message
+):
+    argv = grid_command_argv(command, params_file, kernels_file, tmp_path)
+    assert main([*argv, option, grid, "--out", str(tmp_path / "out.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [("verify", "--lags"), ("limits", "--n-grid")])
+def test_integer_grids_reject_a_fraction(
+    params_file, kernels_file, tmp_path, capsys, command, option
+):
+    argv = grid_command_argv(command, params_file, kernels_file, tmp_path)
+    assert main([*argv, option, "0.5", "--out", str(tmp_path / "out.csv")]) == 2
+    assert "error: expected integers, got 0.5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["covariance", "spectrum", "verify"])
 @pytest.mark.parametrize("delta", ["inf", "nan", "0"])
 def test_delta_must_be_positive_and_finite(params_file, tmp_path, capsys, command, delta):
@@ -806,6 +884,24 @@ def test_input_files_must_hold_an_object(tmp_path, capsys, text):
     assert main(["check", "--params", str(path)]) == 2
     assert main(["limits", "--kernels", str(path), "--n-grid", "8"]) == 2
     assert capsys.readouterr().err.count("must hold one JSON object") == 2
+
+
+@pytest.mark.parametrize("command", ["check", "limits", "verify"])
+def test_a_malformed_json_file_names_itself(params_file, tmp_path, capsys, command):
+    # the parser's message named no file, and verify reads two JSON files
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"H": [0.3,]}')
+    argv = {
+        "check": ["check", "--params", str(bad)],
+        "limits": ["limits", "--n-grid", "8", "--kernels", str(bad)],
+        "verify": ["verify", "--paths", str(tmp_path / "paths"), "--params", str(bad)],
+    }[command]
+    if command == "verify":
+        sim = ["simulate", "--params", params_file, "--n", "8", "--replicates", "2"]
+        assert main([*sim, "--out", str(tmp_path / "paths")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"error: {bad} is not valid JSON: " in capsys.readouterr().err
 
 
 def test_limits_matches_per_cell_reference(tmp_path):
@@ -871,9 +967,11 @@ CELL = {"regime": "power_pos", "alpha": 1.0, "d": 0.2}
         ([[{**CELL, "alpha": True}]], "kernel alpha must be a real number, got True"),
         ([[{**CELL, "alpha": float("inf")}]], "alpha must be finite and nonzero, got inf"),
         (5, "kernel spec 'plus' must be a list of lists, got 5"),
+        ([[5]], "kernel grid cells must be objects or null"),
+        ([[{**CELL, "beta": 1.0}]], "unknown kernel cell keys ['beta']"),
     ],
     ids=["no-regime", "no-alpha", "string-alpha", "string-d", "bool-alpha", "inf-alpha",
-         "scalar-grid"],
+         "scalar-grid", "scalar-cell", "unknown-cell-key"],
 )
 def test_limits_rejects_malformed_kernel_cells(tmp_path, capsys, plus, message):
     # a missing key printed only the key, the strings and the scalar grid

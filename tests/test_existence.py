@@ -6,16 +6,21 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from mfbm import (
+    CirculantEmbeddingError,
     CovarianceExistenceError,
     SpecialCase,
     admissibility_matrix,
     admissible_boundary,
     check_admissibility,
     coherence,
+    dense_oracle_simulate,
     eta_from_prime,
     max_correlation,
     pair_coherence_at,
+    spectral_factor,
 )
+from mfbm import circulant, representations
+from mfbm.existence import _ridged_cholesky
 from conftest import make_params, random_admissible
 
 
@@ -187,3 +192,29 @@ def test_boundary_matches_coherence_on_every_ray():
         np.testing.assert_allclose(curve[:, 1], radii * np.sin(thetas), atol=tol)
         for rho, ep in curve[:-1]:
             assert pair_coherence_at(h1, h2, rho, ep) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_ridged_cholesky_gives_up_after_64_doublings():
+    # a shift of 1e-300 doubled 64 times is still far below 1
+    with pytest.raises(np.linalg.LinAlgError, match="after 64 ridge doublings"):
+        _ridged_cholesky(np.array([[-1.0]]), 1e-300)
+
+
+def _never_factors(matrix, shift):
+    raise np.linalg.LinAlgError("matrix stays indefinite after 64 ridge doublings")
+
+
+@pytest.mark.parametrize(
+    "module, call, error",
+    [
+        (circulant, lambda params: dense_oracle_simulate(params, 8), CirculantEmbeddingError),
+        (representations, spectral_factor, CovarianceExistenceError),
+    ],
+    ids=["dense_oracle_simulate", "spectral_factor"],
+)
+def test_a_ridge_that_fails_is_refused_in_the_callers_terms(
+    monkeypatch, rng, module, call, error
+):
+    monkeypatch.setattr(module, "_ridged_cholesky", _never_factors)
+    with pytest.raises(error):
+        call(random_admissible(rng, 2))

@@ -218,9 +218,10 @@ def test_existence_rule_is_written_once():
     assert readers == PSD_TOL_READERS
 
 
-def validate_callers(source: str) -> list[str]:
-    """Where the source calls validate(...), once per call: the dotted name
-    of the enclosing definition, "<module>" at module level."""
+def call_scopes(source: str, called) -> list[str]:
+    """Where the source makes a call whose func node satisfies called, once
+    per call: the dotted name of the enclosing definition, "<module>" at
+    module level."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -228,14 +229,19 @@ def validate_callers(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call) and (
-                getattr(child.func, "id", getattr(child.func, "attr", None)) == "validate"
-            ):
+            if isinstance(child, ast.Call) and called(child.func):
                 found.append(scope or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def validate_callers(source: str) -> list[str]:
+    """Where the source calls validate(...), once per call."""
+    return call_scopes(
+        source, lambda func: getattr(func, "id", getattr(func, "attr", None)) == "validate"
+    )
 
 
 def test_validate_callers_finds_every_call():
@@ -255,6 +261,49 @@ def test_structural_rule_runs_at_construction_only():
         for scope in validate_callers(path.read_text())
     ]
     assert calls == ["params.MfbmParams.__post_init__"]
+
+
+# Every JSON input is parsed by params._load_json, so a malformed file is
+# always refused with its path in the message.
+JSON_READS = {"load", "loads"}
+
+
+def json_readers(source: str) -> list[str]:
+    """Where the source calls json.load or json.loads, or either imported
+    from json by name, once per call."""
+    tree = ast.parse(source)
+    bare = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name in JSON_READS
+    }
+    return call_scopes(
+        source,
+        lambda func: (isinstance(func, ast.Name) and func.id in bare)
+        or (isinstance(func, ast.Attribute) and func.attr in JSON_READS
+            and getattr(func.value, "id", None) == "json"),
+    )
+
+
+def test_json_readers_finds_every_read():
+    source = (
+        "import json\nfrom json import loads as parse\n"
+        "def f(h):\n    return json.load(h)\n"
+        "class C:\n    def g(self, t):\n        return parse(t)\n"
+        "json.dump(x, h)\nloads(t)\njson.loads(t)\n"
+    )
+    assert json_readers(source) == ["f", "C.g", "<module>"]
+
+
+def test_json_is_read_in_one_place():
+    reads = [
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in json_readers(path.read_text())
+    ]
+    assert reads == ["params._load_json"]
 
 
 # Tolerances that only absorb round-off (UNIT_SUM_TOL, PSD_TOL) are module

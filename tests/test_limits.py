@@ -302,6 +302,16 @@ def test_load_kernel_spec_rejects_unknown_keys(tmp_path):
         load_kernel_spec(path)
 
 
+@pytest.mark.parametrize("missing", ["plus", "minus"])
+def test_load_kernel_spec_needs_both_grids(tmp_path, missing):
+    path = tmp_path / "k.json"
+    grids = {"plus": [[{"regime": "summable", "alpha": 1.0}]], "minus": [[None]]}
+    del grids[missing]
+    path.write_text(json.dumps(grids))
+    with pytest.raises(ValueError, match=f"^kernel spec is missing '{missing}'$"):
+        load_kernel_spec(path)
+
+
 def test_partial_sums_shape_and_zero_start():
     spec = one_sided(POS)
     out = simulate_partial_sums(spec, n=32, taus=[0.0, 0.5, 1.0], replicates=4)

@@ -88,6 +88,31 @@ def test_validation_rejects_non_finite_entries(field, value):
     assert f"every {field} entry must be finite" in violations(excinfo)
 
 
+@pytest.mark.parametrize(
+    "fields, violation",
+    [
+        ({"H": [], "sigma": [], "rho": [[]], "eta": [[]]}, "H must be a nonempty vector"),
+        ({"sigma": [1.0]}, "sigma must have shape (2,), got (1,)"),
+        ({"rho": [[1.0]]}, "rho must have shape (2, 2), got (1, 1)"),
+        ({"eta": np.zeros((2, 3))}, "eta must have shape (2, 2), got (2, 3)"),
+    ],
+    ids=["empty-H", "sigma", "rho", "eta"],
+)
+def test_validation_rejects_a_wrong_shape(fields, violation):
+    arrays = {"H": [0.4, 0.6], "sigma": [1.0, 1.0], "rho": np.eye(2), "eta": np.zeros((2, 2))}
+    with pytest.raises(ValueError) as excinfo:
+        MfbmParams(**{**arrays, **fields})
+    assert violations(excinfo) == [violation]
+
+
+def test_scalars_make_a_one_component_set():
+    params = MfbmParams(H=0.3, sigma=2.0, rho=1.0, eta=0.0)
+    assert params.p == 1
+    assert (params.H.shape, params.sigma.shape) == ((1,), (1,))
+    assert (params.rho.shape, params.eta.shape) == ((1, 1), (1, 1))
+    assert not params.rho.flags.writeable
+
+
 BUILDS = {
     "direct": lambda rho01: make_params([0.4, 0.6], rho01=rho01),
     "replace": lambda rho01: dataclasses.replace(
